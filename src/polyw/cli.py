@@ -54,9 +54,7 @@ class Verdict:
 
     EXIT = {
         "polygonal": EXIT_YES,
-        "affirmative": EXIT_YES,
         "not-polygonal": EXIT_NO,
-        "negative": EXIT_NO,
         "inconclusive": EXIT_INCONCLUSIVE,
         "not-applicable": EXIT_INCONCLUSIVE,
         "error": EXIT_USAGE,
@@ -82,7 +80,6 @@ def _bounds(args):
         max_power=args.powers,
         allow_negative_powers=args.allow_negative_powers,
         time_budget=args.time_budget,
-        jobs=args.jobs,
     )
 
 
@@ -110,6 +107,16 @@ def _try_constructors(w):
     return None
 
 
+def _search_verdict(w, bounds):
+    """The search outcome as a verdict: a certificate, or inconclusive."""
+    outcome = search.decide_polygonal(w, bounds)
+    if isinstance(outcome, search.Found):
+        return Verdict("polygonal", outcome.certificate.to_json_dict())
+    if isinstance(outcome, search.ExhaustedWithin):
+        return Verdict("inconclusive", {"search": "exhausted", "nodes": outcome.nodes})
+    return Verdict("inconclusive", {"search": "timed-out", "nodes": outcome.nodes})
+
+
 def check_polygonal(w: CyclicWord, strategy="auto", bounds=None) -> Verdict:
     """Decide/certify polygonality; the library-level pipeline behind
     ``polyw check``."""
@@ -135,22 +142,9 @@ def check_polygonal(w: CyclicWord, strategy="auto", bounds=None) -> Verdict:
             cert = None
         if cert is not None:
             return Verdict("polygonal", cert.to_json_dict())
-        outcome = search.decide_polygonal(w, bounds)
-        if isinstance(outcome, search.Found):
-            return Verdict("polygonal", outcome.certificate.to_json_dict())
-        if isinstance(outcome, search.ExhaustedWithin):
-            return Verdict(
-                "inconclusive",
-                {"search": "exhausted", "nodes": outcome.nodes},
-            )
-        return Verdict("inconclusive", {"search": "timed-out", "nodes": outcome.nodes})
+        return _search_verdict(w, bounds)
     if strategy == "search":
-        outcome = search.decide_polygonal(w, bounds)
-        if isinstance(outcome, search.Found):
-            return Verdict("polygonal", outcome.certificate.to_json_dict())
-        if isinstance(outcome, search.ExhaustedWithin):
-            return Verdict("inconclusive", {"search": "exhausted", "nodes": outcome.nodes})
-        return Verdict("inconclusive", {"search": "timed-out", "nodes": outcome.nodes})
+        return _search_verdict(w, bounds)
     builders = {
         "tn": lambda: construct_from_tn(w, _require_tn(w)),
         "f2": lambda: construct_f2_no_isolated(w),
@@ -290,7 +284,10 @@ def _add_search_args(p):
     p.add_argument("--powers", type=int, default=2, help="max disk power")
     p.add_argument("--allow-negative-powers", action="store_true")
     p.add_argument("--time-budget", type=float, default=None, help="seconds")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility and ignored: the search runs in one process",
+    )
 
 
 def build_parser():

@@ -310,15 +310,6 @@ class SurfaceComplex:
     def is_connected(self):
         return len(self.connected_components()) == 1
 
-    def boundary_vertices(self, component):
-        """Vertices along a boundary component, one per traversed slot."""
-        verts = []
-        for slot, forward in component:
-            i, j = slot
-            v = j if forward else (j + 1) % self._sizes[i]
-            verts.append(self.vertex_of[(i, v)])
-        return verts
-
     def to_dot(self, name="surface"):
         lines = ["digraph %s {" % name]
         for v in range(self.n_vertices):
@@ -356,10 +347,6 @@ def check_immersion(S: SurfaceComplex):
         if c > 1:
             violations.append((v, g, "in", c))
     return (not violations, violations)
-
-
-def euler_characteristic(S):
-    return S.euler_characteristic()
 
 
 def genus_report(S):

@@ -67,15 +67,10 @@ def rho(w: CyclicWord) -> RhoElement:
     A single-syllable word has an empty cyclic junction sum and yields the
     empty element.
     """
-    syl = syllable_decomposition(w)
-    parts = syl.parts
-    if len(parts) == 1:
+    pairs = junction_pairs(w)
+    if len(pairs) == 1:  # one syllable: its only "junction" is with itself
         return RhoElement(w.rank, ())
-    pairs = []
-    for i, (g, e) in enumerate(parts):
-        g2, e2 = parts[(i + 1) % len(parts)]
-        pairs.append(((1 if e > 0 else -1) * g, (1 if e2 > 0 else -1) * g2))
-    return RhoElement(w.rank, tuple(pairs))
+    return RhoElement(w.rank, pairs)
 
 
 def junction_pairs(w: CyclicWord):

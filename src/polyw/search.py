@@ -1,4 +1,4 @@
-"""Bounded exhaustive decision of polygonality by backtracking over
+"""Bounded search for a certified surface by backtracking over
 side-pairings.
 
 Slots are paired in canonical order (least unpaired slot first, partners
@@ -7,17 +7,23 @@ per-class label in/out counts so immersion violations prune immediately.
 A same-disk pair whose position difference is a multiple of |w| is cut:
 it identifies vertices separated by an interval reading a power of the
 boundary word, which forces the half-rotation component with chi equal
-to its disk count.  ExhaustedWithin is therefore a complete negative for
-the bounds; it is evidence, not proof, of non-polygonality in general.
+to its disk count.
+
+One lazy generator walks the disk configurations of ``power_configs`` in
+order, in one process and under one deadline, and yields each completed
+pairing that ``certify`` accepts; the certifier is the only check applied
+to a completion.  ``decide_polygonal`` returns the first, so a
+certificate found before the deadline is never lost.  ExhaustedWithin is
+a complete negative for the bounds; it is evidence, not proof, of
+non-polygonality in general.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from .complexes import (
     DiskSpec,
@@ -25,7 +31,7 @@ from .complexes import (
     certify,
     proper_power_certificate,
 )
-from .words import CyclicWord, cyclic_word, is_proper_power
+from .words import CyclicWord, is_proper_power
 
 
 @dataclass(frozen=True)
@@ -35,7 +41,6 @@ class SearchBounds:
     max_power: int = 2
     allow_negative_powers: bool = False
     time_budget: Optional[float] = None  # seconds
-    jobs: int = 1
 
     def __post_init__(self):
         if self.max_disks < 1 or self.max_power < 1:
@@ -66,9 +71,6 @@ class TimedOut:
     configs_done: int
 
 
-SearchOutcome = object  # Found | ExhaustedWithin | TimedOut
-
-
 class _Timeout(Exception):
     pass
 
@@ -90,13 +92,11 @@ def power_configs(w, bounds):
 
 
 class _Backtracker:
-    """Exhaustive pairing search on one disk configuration."""
+    """Exhaustive pairing search on one disk configuration; ``_search``
+    yields every total, immersion-legal pairing without judging chi."""
 
-    def __init__(self, w, powers, first_pair=None, deadline=None, collect_all=False):
-        self.w = w
-        self.powers = powers
+    def __init__(self, w, disks, deadline):
         self.word_length = len(w)
-        disks = [DiskSpec(w, k) for k in powers]
         self.letters = []
         self.disk_of = []
         self.pos_of = []
@@ -129,9 +129,6 @@ class _Backtracker:
             self.by_label.setdefault(abs(self.letters[s]), []).append(s)
         self.nodes = 0
         self.deadline = deadline
-        self.collect_all = collect_all
-        self.results: List[Tuple[Tuple[int, int], ...]] = []
-        self.first_pair = first_pair
 
     # union-find without path compression, with undo log
     def find(self, x):
@@ -226,57 +223,6 @@ class _Backtracker:
                 return True
         return False
 
-    def _final_check(self):
-        """All components must satisfy V < E (chi < disk count)."""
-        roots = {}
-        comp = list(range(len(self.powers)))
-
-        def comp_find(i):
-            while comp[i] != i:
-                i = comp[i]
-            return i
-
-        root_disk = {}
-        for s in range(self.total):
-            r = self.find(s)
-            i = self.disk_of[s]
-            if r in root_disk:
-                a, b = comp_find(root_disk[r]), comp_find(i)
-                if a != b:
-                    comp[max(a, b)] = min(a, b)
-            else:
-                root_disk[r] = i
-        verts = {}
-        edges = {}
-        faces = {}
-        for r, i in root_disk.items():
-            c = comp_find(i)
-            verts[c] = verts.get(c, 0) + 1
-        for s in range(self.total):
-            if self.partner[s] > s:
-                c = comp_find(self.disk_of[s])
-                edges[c] = edges.get(c, 0) + 1
-        for i in range(len(self.powers)):
-            c = comp_find(i)
-            faces[c] = faces.get(c, 0) + 1
-        for c, f in faces.items():
-            if verts.get(c, 0) - edges.get(c, 0) + f >= f:
-                return False
-        return True
-
-    def run(self):
-        """Yields completed pairings (as slot-pair tuples)."""
-        if self.first_pair is not None:
-            s, t = self.first_pair
-            if self._forbidden(s, t) or abs(self.letters[s]) != abs(self.letters[t]):
-                return
-            log = self._apply_pair(s, t)
-            if log is None:
-                return
-            yield from self._search(0)
-        else:
-            yield from self._search(0)
-
     def _search(self, scan_from):
         self.nodes += 1
         if self.deadline is not None and self.nodes % 2048 == 0:
@@ -286,14 +232,12 @@ class _Backtracker:
         while s < self.total and self.partner[s] >= 0:
             s += 1
         if s >= self.total:
-            if self._final_check():
-                pairs = tuple(
-                    ((self.disk_of[a], self.pos_of[a]),
-                     (self.disk_of[self.partner[a]], self.pos_of[self.partner[a]]))
-                    for a in range(self.total)
-                    if self.partner[a] > a
-                )
-                yield pairs
+            yield tuple(
+                ((self.disk_of[a], self.pos_of[a]),
+                 (self.disk_of[self.partner[a]], self.pos_of[self.partner[a]]))
+                for a in range(self.total)
+                if self.partner[a] > a
+            )
             return
         for t in self.by_label[abs(self.letters[s])]:
             if t <= s or self.partner[t] >= 0 or self._forbidden(s, t):
@@ -303,15 +247,6 @@ class _Backtracker:
                 continue
             yield from self._search(s + 1)
             self._revert_pair(s, t, log)
-
-    def first_pair_choices(self):
-        """Partner options for slot 0, for splitting work across processes."""
-        s = 0
-        return [
-            (s, t)
-            for t in self.by_label[abs(self.letters[s])]
-            if t > s and not self._forbidden(s, t)
-        ]
 
 
 def _canonical_cert_key(w, powers, pairs):
@@ -342,86 +277,46 @@ def _canonical_cert_key(w, powers, pairs):
     return best
 
 
-def _search_config(w, powers, deadline=None, stop_at_first=False, first_pair=None):
-    """All completed pairings of one configuration (possibly restricted to
-    a forced first pair).  Returns (pairings, nodes)."""
-    bt = _Backtracker(w, powers, first_pair=first_pair, deadline=deadline)
-    found = []
-    for pairs in bt.run():
-        found.append(pairs)
-        if stop_at_first:
-            break
-    return found, bt.nodes
-
-
-def _worker(args):
-    text, rank, powers, first_pair, budget = args
-    w = cyclic_word(text, rank)
-    deadline = None if budget is None else time.monotonic() + budget
-    try:
-        found, nodes = _search_config(w, powers, deadline=deadline, first_pair=first_pair)
-        return [list(map(list, p)) for p in found], nodes, False
-    except _Timeout:
-        return [], 0, True
-
-
 class _Progress:
     def __init__(self):
         self.nodes = 0
         self.configs_done = 0
 
 
-def _iter_completions(w, bounds, progress):
-    """Yield (powers, pairs) over all configurations; raises _Timeout."""
+def _certified(w, bounds, progress):
+    """Yield (powers, pairs, certificate) for each completion ``certify``
+    accepts, configuration by configuration; raises _Timeout.  ``progress``
+    counts every node visited, the timed-out configuration's included."""
     deadline = (
         None if bounds.time_budget is None else time.monotonic() + bounds.time_budget
     )
-    configs = power_configs(w, bounds)
-    if bounds.jobs <= 1:
-        for powers in configs:
-            found, n = _search_config(w, powers, deadline=deadline)
-            progress.nodes += n
-            progress.configs_done += 1
-            for pairs in found:
-                yield powers, pairs
-        return
-    # split each configuration on the first pairing decision
-    tasks = []
-    for powers in configs:
-        bt = _Backtracker(w, powers)
-        choices = bt.first_pair_choices()
-        if not choices:
-            progress.configs_done += 1
-            continue
-        budget = None if bounds.time_budget is None else bounds.time_budget
-        for fp in choices:
-            tasks.append((str(w), w.rank, powers, fp, budget))
-    with ProcessPoolExecutor(max_workers=bounds.jobs) as pool:
-        results = list(pool.map(_worker, tasks))
-    progress.nodes += sum(n for _f, n, _t in results)
-    if any(t for _f, _n, t in results):
-        raise _Timeout
-    progress.configs_done = len(power_configs(w, bounds))
-    for task, (found, _n, _t) in zip(tasks, results):
-        powers = task[2]
-        for pairs in found:
-            yield powers, tuple((tuple(a), tuple(b)) for a, b in pairs)
+    for powers in power_configs(w, bounds):
+        disks = [DiskSpec(w, k) for k in powers]
+        bt = _Backtracker(w, disks, deadline)
+        try:
+            for pairs in bt._search(0):
+                cert = certify(w, disks, list(pairs))
+                if cert.polygonal:
+                    yield powers, pairs, cert
+        finally:
+            progress.nodes += bt.nodes
+        progress.configs_done += 1
 
 
-def decide_polygonal(w: CyclicWord, bounds: SearchBounds) -> SearchOutcome:
-    """Search the bounds for a certified surface.
+def decide_polygonal(w: CyclicWord, bounds: SearchBounds):
+    """Search the bounds for a certified surface: Found, ExhaustedWithin
+    or TimedOut.
 
-    Proper powers short-circuit to the declarative certificate.  Found
-    returns the first (least) certificate in canonical enumeration order;
+    Proper powers short-circuit to the declarative certificate.  Otherwise
+    Found carries the first completion the certifier accepts, in the
+    canonical enumeration order, found in one process under one deadline;
     ExhaustedWithin is a complete negative for the bounds.
     """
     if is_proper_power(w):
         return Found(proper_power_certificate(w))
     progress = _Progress()
     try:
-        for powers, pairs in _iter_completions(w, bounds, progress):
-            cert = certify(w, [DiskSpec(w, k) for k in powers], list(pairs))
-            assert cert.polygonal, "search returned an uncertifiable pairing"
+        for _powers, _pairs, cert in _certified(w, bounds, progress):
             return Found(cert)
     except _Timeout:
         return TimedOut(bounds, progress.nodes, progress.configs_done)
@@ -430,15 +325,13 @@ def decide_polygonal(w: CyclicWord, bounds: SearchBounds) -> SearchOutcome:
 
 def enumerate_all(w: CyclicWord, bounds: SearchBounds) -> Iterator[PolygonalityCertificate]:
     """Every certified surface within bounds, deduplicated up to disk
-    reordering and base-point rotation."""
+    reordering and base-point rotation, in the order decide_polygonal
+    meets them."""
     if is_proper_power(w):
         return
     seen = set()
-    for powers, pairs in _iter_completions(w, bounds, _Progress()):
+    for powers, pairs, cert in _certified(w, bounds, _Progress()):
         key = (powers, _canonical_cert_key(w, powers, pairs))
-        if key in seen:
-            continue
-        seen.add(key)
-        cert = certify(w, [DiskSpec(w, k) for k in powers], list(pairs))
-        assert cert.polygonal
-        yield cert
+        if key not in seen:
+            seen.add(key)
+            yield cert

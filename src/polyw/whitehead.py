@@ -252,11 +252,11 @@ def _connected_without(vertices, adjacency, removed):
 
 
 def cut_vertex_prescreen(w):
-    """Fast sufficient test for diskbusting; never authoritative.
+    """Fast sufficient test for diskbusting.
 
     Returns True when the Whitehead graph on all 2n letters is connected
-    with no cut vertex (then no relabeling can shorten or separate w), and
-    None when the test is silent.
+    with no cut vertex (then, by Whitehead's cut-vertex lemma, w lies in
+    no proper free factor), and None when the test is silent.
     """
     vertices = signed_letters(w.rank)
     adjacency = {v: set() for v in vertices}
@@ -273,18 +273,23 @@ def cut_vertex_prescreen(w):
     return True
 
 
-def is_diskbusting(w, cap=DEFAULT_ORBIT_CAP, prescreen=False):
+def is_diskbusting(w, cap=DEFAULT_ORBIT_CAP):
     """Whether {w} lies in no proper free factor.
 
-    Authoritative criterion: after Whitehead minimization, no word in the
-    minimal orbit omits a generator.  Rank 1 is False by convention.
+    Criterion: after Whitehead minimization, no word in the minimal orbit
+    omits a generator.  By Whitehead's cut-vertex lemma (Stallings,
+    *Whitehead graphs on handlebodies*, 1999; Heusener-Weidmann, 2019) a
+    word in a proper free factor has a disconnected Whitehead graph or one
+    with a cut vertex, so when ``cut_vertex_prescreen`` holds on the
+    minimized word the answer is True and the orbit is not enumerated.
+    Rank 1 is False by convention.
     """
     if w.rank == 1:
         return False
     final = minimize(w).final
     if len(final.support()) < w.rank:
         return False
-    if prescreen and cut_vertex_prescreen(final):
+    if cut_vertex_prescreen(final):
         return True
     full = frozenset(range(1, w.rank + 1))
     for member in minimal_orbit(final, cap=cap):

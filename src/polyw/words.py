@@ -108,11 +108,6 @@ class Word:
     def inverse(self):
         return Word(self.rank, inverse_letters(self.letters))
 
-    def __mul__(self, other):
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return Word(self.rank, self.letters + other.letters)
-
 
 def _canonical_rotation(letters):
     key = word_key(letters)

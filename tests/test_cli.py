@@ -26,6 +26,13 @@ def test_check_polygonal_exit_zero(tmp_path):
     assert data["result"]["verdict"]["polygonal"] is True
 
 
+def test_check_still_accepts_jobs():
+    # --jobs no longer reaches the search, but scripts that pass it still run
+    proc = run_cli("check", "a (a^2)^b", "--jobs", "1")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["status"] == "polygonal"
+
+
 def test_check_obstruction_exit_one():
     proc = run_cli("check", "a b a b^2 a b^3")
     assert proc.returncode == 1
