@@ -242,7 +242,7 @@ def cmd_stats(args):
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("POLYW_SEED", "0"))
-    report = stats.run_trials(args.length, args.samples, seed, jobs=args.jobs)
+    report = stats.run_trials(args.length, args.samples, seed)
     if args.format == "csv":
         text = report.csv_header() + "\n" + report.to_csv_row()
         if args.out:
@@ -333,7 +333,6 @@ def build_parser():
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stats)

@@ -96,9 +96,6 @@ class SidePairing:
     def __hash__(self):
         return hash(self.pairs)
 
-    def is_total_for(self, disks):
-        return 2 * len(self.pairs) == sum(d.size for d in disks)
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -141,7 +138,6 @@ class SurfaceComplex:
         self._validate_pairs()
         self._build_vertices()
         self._build_edges()
-        self._build_faces()
         self._build_boundary()
 
     # -- construction -------------------------------------------------------
@@ -193,7 +189,6 @@ class SurfaceComplex:
 
     def _build_edges(self):
         self.edges: List[Edge] = []
-        self.edge_of_slot: Dict[Slot, int] = {}
         done = set()
         for i in range(len(self.disks)):
             for j in range(self._sizes[i]):
@@ -207,19 +202,7 @@ class SurfaceComplex:
                 else:
                     slots = (slot, partner)
                     done.add(partner)
-                edge = Edge(abs(self.slot_letter(slot)), tail, head, slots)
-                for s in slots:
-                    self.edge_of_slot[s] = len(self.edges)
-                self.edges.append(edge)
-
-    def _build_faces(self):
-        self.faces = []
-        for i in range(len(self.disks)):
-            face = []
-            for j in range(self._sizes[i]):
-                eid = self.edge_of_slot[(i, j)]
-                face.append((eid, 1 if self.slot_letter((i, j)) > 0 else -1))
-            self.faces.append(tuple(face))
+                self.edges.append(Edge(abs(self.slot_letter(slot)), tail, head, slots))
 
     # boundary machinery: an "end" is (slot, side) with side 0 at the start
     # vertex of the slot in disk traversal order, 1 at its far vertex.
@@ -525,10 +508,6 @@ class PolygonalityCertificate:
             tn_certificate=tn,
             u_certificate=u,
         )
-
-    @staticmethod
-    def from_json(text):
-        return PolygonalityCertificate.from_json_dict(json.loads(text))
 
 
 def certify(w: CyclicWord, disks, pairing) -> PolygonalityCertificate:

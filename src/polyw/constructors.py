@@ -8,7 +8,6 @@ Proper powers short-circuit to the declarative certificate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import factorial, lcm
 from typing import List, Optional, Tuple
@@ -207,14 +206,39 @@ def construct_f2_no_isolated(w: CyclicWord) -> PolygonalityCertificate:
     return cert
 
 
+def _reversing_gluing(S: SurfaceComplex, ca: int, cb: int):
+    """Glue boundary circle ca to circle cb walked backwards.
+
+    Entry k of ca meets entry r - k of cb at the one offset r where every
+    glued pair carries the same generator and the two arrows run opposite
+    along their walks.  Such a reflection is a homeomorphism of the
+    circles that agrees with the head-to-head vertex identification, so
+    the seam pinches no further vertices.  Returns None if no offset fits.
+    """
+    A, B = S.boundary[ca], S.boundary[cb]
+    n = len(A)
+    if len(B) != n:
+        return None
+
+    def arrows(circle):
+        # per entry: (generator, does the arrow run along the walk?)
+        return [(abs(S.slot_letter(s)), f == (S.slot_letter(s) > 0)) for s, f in circle]
+
+    ka, kb = arrows(A), arrows(B)
+    for r in range(n):
+        if all(kb[(r - k) % n] == (g, not along) for k, (g, along) in enumerate(ka)):
+            return [(A[k][0], B[(r - k) % n][0]) for k in range(n)]
+    return None
+
+
 def construct_isolated_b(w: CyclicWord) -> PolygonalityCertificate:
     """Rank-2 words a^{p_1} b^{q_1} ... with |p_i| > 1, |q_i| = 1 and
     vanishing junction sign sum.
 
-    The rotation surface has one four-edge boundary circle per factor;
-    sources glue to sinks and filters to pollutants by one of the
-    label-respecting circle identifications, searched with the certifier
-    as the gate.
+    The rotation surface has one four-edge boundary circle per factor.
+    Sources pair with sinks and filters with pollutants, and each pair of
+    circles is glued by its one reversing identification (see
+    :func:`_reversing_gluing`); the closed surface is certified once.
     """
     cond = isolated_b_sign_condition(w)
     if cond is None:
@@ -255,32 +279,22 @@ def construct_isolated_b(w: CyclicWord) -> PolygonalityCertificate:
     matches = list(zip(sorted(groups["source"]), sorted(groups["sink"]))) + list(
         zip(sorted(groups["filter"]), sorted(groups["pollutant"]))
     )
-    per_pair_options = []
+    glue = []
     for ca, cb in matches:
-        ea = [slot for slot, _f in S.boundary[ca]]
-        eb = [slot for slot, _f in S.boundary[cb]]
-        assert len(ea) == 4 and len(eb) == 4
-        options = []
-        a_idx = [k for k in range(4) if abs(S.slot_letter(ea[k])) == 1]
-        b_idx = [k for k in range(4) if abs(S.slot_letter(ea[k])) == 2]
-        a_idx2 = [k for k in range(4) if abs(S.slot_letter(eb[k])) == 1]
-        b_idx2 = [k for k in range(4) if abs(S.slot_letter(eb[k])) == 2]
-        for pa in itertools.permutations(a_idx2):
-            for pb in itertools.permutations(b_idx2):
-                mapping = list(zip(a_idx, pa)) + list(zip(b_idx, pb))
-                options.append([(ea[x], eb[y]) for x, y in mapping])
-        per_pair_options.append(options)
-    for combo in itertools.product(*per_pair_options):
-        glue = [pair for option in combo for pair in option]
-        out = certify(w, disks, pairs + glue)
-        if out.polygonal:
-            out.construction = {
-                "strategy": "isolated-b",
-                "sources": len(groups["source"]),
-                "filters": len(groups["filter"]),
-            }
-            return out
-    raise ConstructionError("no circle identification certified for %s" % w)
+        seam = _reversing_gluing(S, ca, cb)
+        if seam is None:
+            raise ConstructionError("boundary circles %d and %d admit no reversing "
+                                    "identification on %s" % (ca, cb, w))
+        glue.extend(seam)
+    out = certify(w, disks, pairs + glue)
+    if not out.polygonal:
+        raise ConstructionError("isolated-b gluing failed certification: %s" % out.detail)
+    out.construction = {
+        "strategy": "isolated-b",
+        "sources": len(groups["source"]),
+        "filters": len(groups["filter"]),
+    }
+    return out
 
 
 # --- simple height-one words --------------------------------------------------

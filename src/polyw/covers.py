@@ -10,7 +10,6 @@ elevation per orbit of the deck translation v -> v.w.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -182,7 +181,3 @@ def double_surface_report(cert: PolygonalityCertificate) -> ElevationReport:
     report = elevations(cover, cert.word)
     chi_s0 = 2 * (S.euler_characteristic() - S.m)
     return ElevationReport(report.degree, report.elevations, chi_s0)
-
-
-def report_to_json(report: ElevationReport, indent=2):
-    return json.dumps(report.to_json_dict(), indent=indent)

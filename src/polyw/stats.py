@@ -4,14 +4,12 @@ A uniform positive word x of length N over {a, b} is pushed forward by
 a -> a, b -> a^b; the resulting word is simple height-one, and its
 run-structure statistics decide the sufficient polygonality inequality
 pp' <= q^2 and qq' <= p^2.  Sampling is counter-based (one Philox stream
-per sample index), so trial partitioning across workers cannot change
-the aggregate.
+per sample index), so a sample depends only on the seed and its index.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -158,12 +156,17 @@ class TrialReport:
         )
 
 
-def _aggregate_range(args):
-    n, seed, start, stop = args
+def run_trials(n: int, samples: int, seed: int) -> TrialReport:
+    """Aggregate condition frequencies over counter-indexed samples.
+
+    Sample i draws from its own Philox stream keyed by (seed, i).
+    """
+    if samples < 1:
+        raise ValueError("samples >= 1")
     cond = fail_q = fail_p = degenerate = 0
     total = 0
     total_sq = 0
-    for i in range(start, stop):
+    for i in range(samples):
         st = sample_height_one(n, _sample_rng(seed, i))
         cond += st.condition
         fail_q += st.fail_q
@@ -171,32 +174,6 @@ def _aggregate_range(args):
         degenerate += st.degenerate
         total += st.s - 1
         total_sq += (st.s - 1) ** 2
-    return cond, fail_q, fail_p, degenerate, total, total_sq
-
-
-def run_trials(n: int, samples: int, seed: int, jobs: int = 1) -> TrialReport:
-    """Aggregate condition frequencies over counter-indexed samples.
-
-    Integer counts are summed, so the report is identical however the
-    sample range is partitioned.
-    """
-    if samples < 1:
-        raise ValueError("samples >= 1")
-    if jobs <= 1:
-        parts = [_aggregate_range((n, seed, 0, samples))]
-    else:
-        chunk = (samples + jobs - 1) // jobs
-        ranges = [
-            (n, seed, k, min(k + chunk, samples)) for k in range(0, samples, chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_aggregate_range, ranges))
-    cond = sum(p[0] for p in parts)
-    fail_q = sum(p[1] for p in parts)
-    fail_p = sum(p[2] for p in parts)
-    degenerate = sum(p[3] for p in parts)
-    total = sum(p[4] for p in parts)
-    total_sq = sum(p[5] for p in parts)
     mean = total / samples
     var = total_sq / samples - mean ** 2
     return TrialReport(

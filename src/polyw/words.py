@@ -98,10 +98,6 @@ class Word:
     def __str__(self):
         return letters_to_str(self.letters) if self.letters else "<empty>"
 
-    @property
-    def is_reduced(self):
-        return all(a != -b for a, b in zip(self.letters, self.letters[1:]))
-
     def reduced(self):
         return Word(self.rank, free_reduce(self.letters))
 

@@ -1,18 +1,25 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import polyw
 from polyw.cli import build_parser, check_polygonal
 from polyw.words import cyclic_word
 
+# the child interpreter imports the same polyw as this test session
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(polyw.__file__))
+
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "polyw.cli", *args],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     return proc
 

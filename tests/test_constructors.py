@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from polyw.complexes import DiskSpec, boundary_lambda, build_complex
+from polyw import constructors
+from polyw.complexes import DiskSpec, boundary_lambda, build_complex, certify
 from polyw.constructors import (
     ConstructionError,
     NotApplicableError,
@@ -131,6 +132,28 @@ def test_isolated_b_conjugate_family():
         w = cyclic_word("a^%d (a^%d)^b" % exps)
         out = construct_isolated_b(w)
         assert out.polygonal, exps
+
+
+def test_isolated_b_certifies_once(monkeypatch):
+    calls = []
+
+    def counting_certify(*args):
+        calls.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(constructors, "certify", counting_certify)
+    w = cyclic_word("a^2 b a^-2 b^-1 a^-5 b^-1 a^-5 b a^2 b a^-2 b a^-5 b^-1 a^5 b^-1")
+    out = construct_isolated_b(w)
+    assert len(calls) == 1
+    assert out.polygonal and out.verify()
+
+
+def test_isolated_b_long_word():
+    # 16 circle pairs: one reversing identification each, no search over gluings
+    w = cyclic_word(" ".join("a^%d b" % ((-1) ** i * (2 + i % 3)) for i in range(32)))
+    out = construct_isolated_b(w)
+    assert out.polygonal and out.declarative is None and out.verify()
+    assert out.construction["sources"] + out.construction["filters"] == 16
 
 
 def test_height_one_small_example_lambda_trace():

@@ -50,11 +50,10 @@ def test_sample_reproducible():
     assert a != c  # overwhelmingly
 
 
-def test_run_trials_deterministic_and_partition_independent():
-    r1 = run_trials(60, 400, seed=21, jobs=1)
-    r2 = run_trials(60, 400, seed=21, jobs=1)
-    r3 = run_trials(60, 400, seed=21, jobs=4)
-    assert r1 == r2 == r3
+def test_run_trials_deterministic():
+    r1 = run_trials(60, 400, seed=21)
+    r2 = run_trials(60, 400, seed=21)
+    assert r1 == r2
     assert r1.algorithm == RNG_ALGORITHM
 
 
