@@ -73,14 +73,20 @@ def _parse(args):
         raise SystemExit(EXIT_USAGE)
 
 
-def _bounds(args):
-    return search.SearchBounds(
-        max_disks=args.max_disks,
-        max_edges=args.max_edges,
-        max_power=args.powers,
-        allow_negative_powers=args.allow_negative_powers,
-        time_budget=args.time_budget,
-    )
+def _bounds(args, w):
+    try:
+        bounds = search.SearchBounds(
+            max_disks=args.max_disks,
+            max_edges=args.max_edges,
+            max_power=args.powers,
+            allow_negative_powers=args.allow_negative_powers,
+            time_budget=args.time_budget,
+        )
+        bounds.edge_limit(len(w))
+    except ValueError as err:
+        print("bad search bounds: %s" % err, file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    return bounds
 
 
 def _emit(data, out):
@@ -167,7 +173,7 @@ def _require_tn(w):
 
 def cmd_check(args):
     w = _parse(args)
-    verdict = check_polygonal(w, args.strategy, _bounds(args))
+    verdict = check_polygonal(w, args.strategy, _bounds(args, w))
     _emit({"word": str(w), "status": verdict.status, "result": verdict.payload},
           args.out)
     return verdict.exit_code

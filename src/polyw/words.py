@@ -106,14 +106,27 @@ class Word:
 
 
 def _canonical_rotation(letters):
+    """The least rotation under ``word_key``, by Booth's O(n) algorithm:
+    ``fail`` is the KMP failure function of the doubled key read from the
+    best start ``k`` found so far."""
     key = word_key(letters)
-    n = len(letters)
-    best = 0
-    for r in range(1, n):
-        rotated = key[r:] + key[:r]
-        if rotated < (key[best:] + key[:best]):
-            best = r
-    return letters[best:] + letters[:best]
+    key += key
+    fail = [-1] * len(key)
+    k = 0
+    for j in range(1, len(key)):
+        x = key[j]
+        i = fail[j - k - 1]
+        while i != -1 and x != key[k + i + 1]:
+            if x < key[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if x != key[k + i + 1]:  # here i == -1
+            if x < key[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return letters[k:] + letters[:k]
 
 
 @dataclass(frozen=True)

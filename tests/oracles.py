@@ -77,3 +77,108 @@ def u_oracle(multiset):
         if all(u_pair_ok(terms[i], terms[j]) for i, j in matching):
             return True
     return False
+
+
+def least_rotation(letters, key):
+    """The lexicographically least rotation of ``letters`` under ``key``,
+    by comparing all of them."""
+    keys = [key(x) for x in letters]
+    n = len(letters)
+    best = min(range(n), key=lambda r: keys[r:] + keys[:r])
+    return tuple(letters[best:]) + tuple(letters[:best])
+
+
+def pairing_orbit_key(w, powers, pairs):
+    """A key equal for two pairings of the same disks iff one is the other
+    after reordering equal-power disks and rotating disk base points by
+    multiples of |w|: the least sorted pair list over all those moves."""
+    n = len(w)
+    sizes = [abs(k) * n for k in powers]
+    groups = {}
+    for i, k in enumerate(powers):
+        groups.setdefault(k, []).append(i)
+    perms_per_group = [list(itertools.permutations(g)) for g in groups.values()]
+    rotations = [range(abs(k)) for k in powers]
+    best = None
+    for perm_combo in itertools.product(*perms_per_group):
+        mapping = {}
+        for orig_group, permuted in zip(groups.values(), perm_combo):
+            for a, b in zip(orig_group, permuted):
+                mapping[a] = b
+        for rots in itertools.product(*rotations):
+            remapped = []
+            for (i, j), (i2, j2) in pairs:
+                a = (mapping[i], (j - rots[i] * n) % sizes[i])
+                b = (mapping[i2], (j2 - rots[i2] * n) % sizes[i2])
+                remapped.append((min(a, b), max(a, b)))
+            key = tuple(sorted(remapped))
+            if best is None or key < best:
+                best = key
+    return best
+
+
+def _folds(letters, nxt, prv, partner):
+    """True if some glued pair identifies two vertices whose other boundary
+    edges carry the same generator in the same direction there, and those
+    two edges are not glued to each other: a vertex with two in-edges or
+    two out-edges of one generator, whatever the rest of the pairing."""
+    for s, t in enumerate(partner):
+        if t < 0:
+            continue
+        if (letters[s] > 0) == (letters[t] > 0):
+            meets = ((prv[s], prv[t], 1, 1), (nxt[s], nxt[t], -1, -1))
+        else:
+            meets = ((prv[s], nxt[t], 1, -1), (nxt[s], prv[t], -1, 1))
+        for u, v, su, sv in meets:
+            # su * letter > 0 means the edge runs into the shared vertex
+            if su * letters[u] != sv * letters[v]:
+                continue
+            if (partner[u] >= 0 and partner[u] != v) or (partner[v] >= 0 and partner[v] != u):
+                return True
+    return False
+
+
+def certified_pairings(w, powers):
+    """Certificates of the side-pairings of disks reading w^k (k in
+    ``powers``) that ``certify`` accepts, one per orbit of
+    ``pairing_orbit_key``, in lexicographic order of the partner array.
+
+    Every label-respecting perfect matching is listed, least free slot
+    first with its partners ascending; a partial matching is dropped only
+    when ``_folds`` shows that no completion is an immersion.
+    """
+    from polyw.complexes import DiskSpec, certify
+
+    disks = [DiskSpec(w, k) for k in powers]
+    names, letters, nxt, prv = [], [], [], []
+    for i, d in enumerate(disks):
+        base = len(names)
+        for j, x in enumerate(d.boundary_letters()):
+            names.append((i, j))
+            letters.append(x)
+            nxt.append(base + (j + 1) % d.size)
+            prv.append(base + (j - 1) % d.size)
+    partner = [-1] * len(names)
+
+    def matchings():
+        free = [s for s in range(len(names)) if partner[s] < 0]
+        if not free:
+            yield [(names[s], names[t]) for s, t in enumerate(partner) if s < t]
+            return
+        s = free[0]
+        for t in free[1:]:
+            if abs(letters[t]) != abs(letters[s]):
+                continue
+            partner[s], partner[t] = t, s
+            if not _folds(letters, nxt, prv, partner):
+                yield from matchings()
+            partner[s] = partner[t] = -1
+
+    seen = set()
+    for pairs in matchings():
+        cert = certify(w, disks, pairs)
+        if cert.polygonal:
+            key = pairing_orbit_key(w, powers, pairs)
+            if key not in seen:
+                seen.add(key)
+                yield cert

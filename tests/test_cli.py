@@ -73,6 +73,13 @@ def test_usage_error_exit_three():
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize("bound", [("--max-edges", "3"), ("--max-disks", "0"), ("--powers", "0")])
+def test_bad_search_bound_exit_three(bound):
+    proc = run_cli("check", "aabABB", *bound)
+    assert proc.returncode == 3
+    assert "bad search bounds" in proc.stderr and not proc.stdout
+
+
 def test_rho_member_exit_codes():
     assert run_cli("rho", "a^6 b^-3 c^5 b^4 c^-7").returncode == 0
     assert run_cli("rho", "a^2 b^2 c^3 b^-3").returncode == 1

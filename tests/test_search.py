@@ -1,7 +1,10 @@
 import itertools
+import random
+import time
 
 import pytest
 
+from oracles import certified_pairings
 from polyw.constructors import nonpolygonality_follower_obstruction
 from polyw.search import (
     ExhaustedWithin,
@@ -142,3 +145,41 @@ def test_negative_powers_flag():
     certs = list(enumerate_all(w, bounds))
     # the mirror surface appears with the negative power
     assert any(c.powers == (-2,) for c in certs)
+
+
+def test_timeout_bounded_on_long_word():
+    # a node of this 1200-slot search scans hundreds of candidate partners,
+    # so the clock is read by work done as well as by nodes
+    rng = random.Random(1200)
+    letters = [1]
+    while len(letters) < 1199:
+        letters.append(rng.choice([x for x in (1, -1, 2, -2) if x != -letters[-1]]))
+    letters.append(2 if letters[-1] != -2 else -2)
+    w = CyclicWord(2, tuple(letters))
+    start = time.monotonic()
+    out = decide_polygonal(w, SearchBounds(max_disks=1, max_power=1, time_budget=0.5))
+    assert isinstance(out, TimedOut)
+    assert time.monotonic() - start < 2.5
+
+
+ORACLE_CASES = [
+    ("a^2 (a^-1)^b a a^b", SearchBounds(max_disks=1, max_power=2, allow_negative_powers=True)),
+    ("a b a^-1 b^-1", SearchBounds(max_disks=2, max_power=2)),  # reaches (2, 2)
+    ("a^2 b^2", SearchBounds(max_disks=2, max_power=2)),
+    ("a b a b^-1", SearchBounds(max_disks=2, max_power=2, allow_negative_powers=True)),
+    ("a (a^2)^b", SearchBounds(max_disks=2, max_power=2, max_edges=10)),
+    ("a b c a^-1 b^-1 c^-1", SearchBounds(max_disks=1, max_power=1)),
+]
+
+
+@pytest.mark.parametrize("text,bounds", ORACLE_CASES)
+def test_pruned_search_matches_brute_force(text, bounds):
+    w = cyclic_word(text)
+    expected = [
+        cert.to_json_dict()
+        for powers in power_configs(w, bounds)
+        for cert in certified_pairings(w, powers)
+    ]
+    assert expected
+    assert [cert.to_json_dict() for cert in enumerate_all(w, bounds)] == expected
+    assert decide_polygonal(w, bounds).certificate.to_json_dict() == expected[0]

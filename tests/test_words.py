@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import least_rotation
 from polyw.words import (
+    _canonical_rotation,
     CyclicWord,
     EmptyWordError,
     RankExceededError,
@@ -226,3 +228,21 @@ def test_letter_key_total_order():
     assert sorted([1, -1, 2, -2], key=letter_key) == [1, -1, 2, -2]
     w = CyclicWord(2, (2, 1, 1))
     assert w.letters == (1, 1, 2)
+
+
+@given(st.lists(letters_st, min_size=1, max_size=8), st.integers(min_value=1, max_value=4))
+def test_canonical_rotation_is_least_rotation(ls, k):
+    # k > 1 makes a proper power, which has several least rotations
+    letters = tuple(ls) * k
+    assert _canonical_rotation(letters) == least_rotation(letters, letter_key)
+
+
+def test_canonical_rotation_long_word():
+    rng = random.Random(4000)
+    letters = [1]
+    while len(letters) < 4000:
+        x = rng.choice([x for x in (1, -1, 2, -2) if x != -letters[-1]])
+        letters.append(x)
+    letters[-1] = 2 if letters[-2] != -2 else -2  # cyclically reduced
+    w = CyclicWord(2, tuple(letters))
+    assert w.letters == least_rotation(tuple(letters), letter_key)
