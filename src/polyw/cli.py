@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from . import covers, search, stats, whitehead
+from . import covers, cyclecover, search, whitehead
 from .complexes import PolygonalityCertificate, proper_power_certificate
 from .constructors import (
     NotApplicableError,
@@ -148,6 +148,9 @@ def check_polygonal(w: CyclicWord, strategy="auto", bounds=None) -> Verdict:
             cert = None
         if cert is not None:
             return Verdict("polygonal", cert.to_json_dict())
+        dual = cyclecover.lp_dual(w)
+        if dual is not None:
+            return Verdict("not-polygonal", {"evidence": "cycle-cover-lp", "dual": dual})
         return _search_verdict(w, bounds)
     if strategy == "search":
         return _search_verdict(w, bounds)
@@ -245,6 +248,8 @@ def cmd_cover(args):
 
 
 def cmd_stats(args):
+    from . import stats  # here: its numpy costs 19 MB and most of the start-up time
+
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("POLYW_SEED", "0"))

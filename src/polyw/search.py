@@ -330,7 +330,10 @@ def decide_polygonal(w: CyclicWord, bounds: SearchBounds):
 def enumerate_all(w: CyclicWord, bounds: SearchBounds) -> Iterator[PolygonalityCertificate]:
     """Every certified surface within bounds, one per class up to disk
     reordering and base-point rotation, in the order decide_polygonal
-    meets them."""
+    meets them; the listing ends early, quietly, at the time budget."""
     if is_proper_power(w):
         return
-    yield from _certified(w, bounds, _Progress())
+    try:
+        yield from _certified(w, bounds, _Progress())
+    except _Timeout:
+        return

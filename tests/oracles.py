@@ -79,6 +79,22 @@ def u_oracle(multiset):
     return False
 
 
+def rank2_cyclic_words(length):
+    """Every rank-2 cyclic word of the given length, once per rotation
+    class, proper powers included."""
+    from polyw.words import CyclicWord
+
+    seen = set()
+    for letters in itertools.product((1, -1, 2, -2), repeat=length):
+        try:
+            w = CyclicWord(2, letters)
+        except ValueError:
+            continue
+        if w not in seen:
+            seen.add(w)
+            yield w
+
+
 def least_rotation(letters, key):
     """The lexicographically least rotation of ``letters`` under ``key``,
     by comparing all of them."""
@@ -182,3 +198,65 @@ def certified_pairings(w, powers):
             if key not in seen:
                 seen.add(key)
                 yield cert
+
+
+def cycle_cover_lp(w):
+    """The optimum of the cycle-cover LP of w, or None if it is infeasible.
+
+    Straight from the definition: one row per corner dart pair
+    {x_{j-1}^-1, x_j} with its count m_e of positions j; one column per
+    simple dart cycle of length >= 3 (found among all dart permutations)
+    and per 2-cycle on a pair with m_e >= 2; maximise sum (|c| - 2) x_c
+    with every row covered exactly, x >= 0.  A dense Fraction tableau
+    with one artificial per row and the lexicographic objective (phase 1,
+    phase 2), entering and leaving by Bland's rule.
+    """
+    from collections import Counter
+    from fractions import Fraction
+
+    n = len(w.letters)
+    capacity = Counter(frozenset((-w.letters[j - 1], w.letters[j])) for j in range(n))
+    rows = sorted(capacity, key=sorted)
+    darts = sorted({x for e in rows for x in e})
+    columns = []  # (objective, row indices with multiplicity)
+    for k in range(3, len(darts) + 1):
+        for cycle in itertools.permutations(darts, k):
+            if cycle[0] != min(cycle) or cycle[1] > cycle[-1]:
+                continue
+            edges = [frozenset((cycle[i], cycle[(i + 1) % k])) for i in range(k)]
+            if all(e in capacity for e in edges):
+                columns.append((k - 2, [rows.index(e) for e in edges]))
+    columns += [(0, [i, i]) for i, e in enumerate(rows) if capacity[e] >= 2]
+    r, c = len(rows), len(columns)
+    table = [[Fraction(0)] * (c + r) + [Fraction(capacity[e])] for e in rows]
+    for j, (_gain, hits) in enumerate(columns):
+        for i in hits:
+            table[i][j] += 1
+    for i in range(r):
+        table[i][c + i] = Fraction(1)
+    cost = [(0, gain) for gain, _hits in columns] + [(-1, 0)] * r
+    basis = list(range(c, c + r))
+
+    def reduced(j):
+        return tuple(
+            cost[j][t] - sum(cost[basis[i]][t] * table[i][j] for i in range(r))
+            for t in (0, 1)
+        )
+
+    while True:
+        enter = next((j for j in range(c + r) if reduced(j) > (0, 0)), None)
+        if enter is None:
+            break
+        leave = min(
+            (i for i in range(r) if table[i][enter] > 0),
+            key=lambda i: (table[i][-1] / table[i][enter], basis[i]),
+        )  # the objective is at most n, so some row bounds the step
+        pivot = table[leave][enter]
+        table[leave] = [a / pivot for a in table[leave]]
+        for i in range(r):
+            if i != leave and table[i][enter]:
+                f = table[i][enter]
+                table[i] = [a - f * b for a, b in zip(table[i], table[leave])]
+        basis[leave] = enter
+    value = [sum(cost[basis[i]][t] * table[i][-1] for i in range(r)) for t in (0, 1)]
+    return None if value[0] < 0 else value[1]

@@ -7,21 +7,25 @@ import pytest
 
 import polyw
 from polyw.cli import build_parser, check_polygonal
+from polyw.cyclecover import verify_dual
 from polyw.words import cyclic_word
 
 # the child interpreter imports the same polyw as this test session
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(polyw.__file__))
 
 
-def run_cli(*args):
+def run_python(*args):
     path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "polyw.cli", *args],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
-    return proc
+
+
+def run_cli(*args):
+    return run_python("-m", "polyw.cli", *args)
 
 
 def test_check_polygonal_exit_zero(tmp_path):
@@ -46,6 +50,28 @@ def test_check_obstruction_exit_one():
     data = json.loads(proc.stdout)
     assert data["status"] == "not-polygonal"
     assert data["result"]["evidence"] == "follower-obstruction"
+
+
+def test_check_cycle_cover_lp_exit_one():
+    proc = run_cli("check", "aabccc")
+    assert proc.returncode == 1
+    data = json.loads(proc.stdout)
+    assert data["status"] == "not-polygonal"
+    assert data["result"]["evidence"] == "cycle-cover-lp"
+    assert verify_dual(cyclic_word("aabccc"), data["result"]["dual"])
+
+
+def test_check_imports_neither_scipy_nor_numpy():
+    # scipy would add about 40 MB and half a second to every `polyw` run,
+    # and numpy, which only `stats` needs, about 19 MB
+    proc = run_python(
+        "-c",
+        "import sys, polyw.cli; from polyw.words import cyclic_word; "
+        "print(polyw.cli.check_polygonal(cyclic_word('aabccc')).status, "
+        "'scipy' in sys.modules, 'numpy' in sys.modules)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["not-polygonal", "False", "False"]
 
 
 def test_check_inconclusive_exit_two():

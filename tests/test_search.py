@@ -1,10 +1,9 @@
-import itertools
 import random
 import time
 
 import pytest
 
-from oracles import certified_pairings
+from oracles import certified_pairings, rank2_cyclic_words
 from polyw.constructors import nonpolygonality_follower_obstruction
 from polyw.search import (
     ExhaustedWithin,
@@ -74,23 +73,11 @@ def test_found_certificates_pass_independent_certifier():
             assert out.certificate.verify()
 
 
-def _all_cyclic_words_rank2(length):
-    seen = set()
-    for combo in itertools.product((1, -1, 2, -2), repeat=length):
-        try:
-            w = CyclicWord(2, combo)
-        except ValueError:
-            continue
-        if w not in seen:
-            seen.add(w)
-            yield w
-
-
 def test_obstructed_words_never_found_small_bounds():
     bounds = SearchBounds(max_disks=2, max_edges=18, max_power=2)
     checked = 0
     for length in range(2, 7):
-        for w in _all_cyclic_words_rank2(length):
+        for w in rank2_cyclic_words(length):
             from polyw.words import is_proper_power
 
             if is_proper_power(w):
@@ -105,7 +92,7 @@ def test_obstructed_words_never_found_small_bounds():
 
 def test_time_budget_reports_timeout():
     # configuration (1,) exhausts in 144 nodes and the first certificate of
-    # (2,) needs 5,289, so a deadline check at node 2048 of (2,) comes first
+    # (2,) needs 5,142, so a deadline check at node 2048 of (2,) comes first
     w = cyclic_word("aaBabaaBBAAB")
     out = decide_polygonal(
         w, SearchBounds(max_disks=2, max_power=2, time_budget=1e-9)
@@ -116,6 +103,11 @@ def test_time_budget_reports_timeout():
     # with a generous budget the same call does not time out
     out2 = decide_polygonal(w, SearchBounds(max_disks=1, max_power=1, time_budget=60))
     assert not isinstance(out2, TimedOut)
+
+
+def test_enumerate_all_ends_quietly_at_the_deadline():
+    certs = list(enumerate_all(cyclic_word("aaBabaaBBAAB"), SearchBounds(time_budget=1e-9)))
+    assert all(cert.verify() for cert in certs)
 
 
 def test_certificate_found_before_the_deadline_is_kept():
