@@ -89,13 +89,22 @@ def _bounds(args, w):
     return bounds
 
 
-def _emit(data, out):
-    text = json.dumps(data, indent=2)
-    if out:
+def _write(text, out):
+    """Print the text, or write it to the file ``out``; a file that cannot
+    be written is a usage error."""
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as err:
+        print("error: %s" % err, file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
+def _emit(data, out):
+    _write(json.dumps(data, indent=2), out)
 
 
 def _try_constructors(w):
@@ -255,12 +264,7 @@ def cmd_stats(args):
         seed = int(os.environ.get("POLYW_SEED", "0"))
     report = stats.run_trials(args.length, args.samples, seed)
     if args.format == "csv":
-        text = report.csv_header() + "\n" + report.to_csv_row()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write(report.csv_header() + "\n" + report.to_csv_row(), args.out)
     else:
         _emit(report.to_json_dict(), args.out)
     return EXIT_YES
@@ -271,16 +275,16 @@ def cmd_render(args):
     if cert.declarative is not None:
         print("declarative certificate has no surface to render", file=sys.stderr)
         return EXIT_USAGE
-    if args.cover:
-        graph = covers.stallings_complete(covers.graph_of_complex(cert.complex()))
-        text = graph.to_dot()
-    else:
-        text = cert.complex().to_dot()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    try:
+        S = cert.complex()
+        if args.cover:
+            text = covers.stallings_complete(covers.graph_of_complex(S)).to_dot()
+        else:
+            text = S.to_dot()
+    except ValueError as err:
+        print("error: %s" % err, file=sys.stderr)
+        return EXIT_USAGE
+    _write(text, args.out)
     return EXIT_YES
 
 

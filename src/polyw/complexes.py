@@ -6,14 +6,26 @@ head and tail to tail.  The quotient is a closed surface when the pairing
 is total.  A word is certified polygonal by a closed quotient that stays
 an immersion over the rose (per vertex and generator, at most one
 incoming and one outgoing edge) and has Euler characteristic below the
-disk count on every connected component.
+disk count on every connected component.  ``certify`` is the only
+authority on that verdict; constructors and the search only propose.
+
+Slot j of disk i, the 1-cell reading its j-th boundary letter, has the
+global index s = base[i] + j, base[i] being the total size of the disks
+before i.  ``SurfaceComplex`` keeps flat lists indexed by s: ``letter``,
+the ``nxt`` and ``prv`` slots around the disk, ``disk``, ``partner`` (-1
+when free) and ``vertex``, the id of the slot's first corner.  Vertices
+are the corner classes under the pairing, numbered in order of their
+least slot.  Each report (edges, boundary circles, immersion, chi per
+component, the boundary invariant) is one pass over these lists.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 from .invariants import LambdaMultiset, LambdaTerm, TnCertificate, UCertificate
 from .words import (
@@ -21,7 +33,6 @@ from .words import (
     Relabeling,
     cyclic_word,
     inverse_letters,
-    letters_to_str,
     primitive_root,
     rotation_offset,
 )
@@ -82,10 +93,6 @@ class SidePairing:
             seen.update((a, b))
             normalized.append((min(a, b), max(a, b)))
         self.pairs = tuple(sorted(normalized))
-        self.partner = {}
-        for a, b in self.pairs:
-            self.partner[a] = b
-            self.partner[b] = a
 
     def __len__(self):
         return len(self.pairs)
@@ -105,20 +112,11 @@ class Edge:
     slots: Tuple[Slot, ...]  # one slot if on the boundary, two if interior
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+def _find(parent, x):
+    """Root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 class SurfaceComplex:
@@ -127,128 +125,103 @@ class SurfaceComplex:
     def __init__(self, disks: Sequence[DiskSpec], pairing: SidePairing):
         self.disks = tuple(disks)
         self.pairing = pairing
-        self._letters = [d.boundary_letters() for d in self.disks]
-        self._sizes = [d.size for d in self.disks]
-        self._bases = []
-        total = 0
-        for n in self._sizes:
-            self._bases.append(total)
-            total += n
-        self._total_slots = total
-        self._validate_pairs()
-        self._build_vertices()
-        self._build_edges()
-        self._build_boundary()
-
-    # -- construction -------------------------------------------------------
-
-    def slot_letter(self, slot):
-        i, j = slot
-        return self._letters[i][j]
-
-    def _validate_pairs(self):
-        for a, b in self.pairing.pairs:
+        sizes = [d.size for d in self.disks]
+        self.base, letter, disk = [], [], []
+        for i, d in enumerate(self.disks):
+            self.base.append(len(letter))
+            letter.extend(d.boundary_letters())
+            disk.extend([i] * sizes[i])
+        n = len(letter)
+        nxt, prv = list(range(1, n + 1)), list(range(-1, n - 1))
+        for b, size in zip(self.base, sizes):
+            nxt[b + size - 1], prv[b] = b, b + size - 1
+        self.letter, self.disk, self.nxt, self.prv = letter, disk, nxt, prv
+        self.partner = partner = [-1] * n
+        parent = list(range(n))  # every parent is a smaller slot of the class
+        for a, b in pairing.pairs:
             for i, j in (a, b):
-                if not (0 <= i < len(self.disks)) or not (0 <= j < self._sizes[i]):
+                if not (0 <= i < len(sizes)) or not (0 <= j < sizes[i]):
                     raise PairingError("slot %r out of range" % ((i, j),), (a, b))
-            if abs(self.slot_letter(a)) != abs(self.slot_letter(b)):
-                raise PairingError(
-                    "label mismatch: %r reads %s, %r reads %s"
-                    % (a, self.slot_letter(a), b, self.slot_letter(b)),
-                    (a, b),
-                )
+            s, t = self.base[a[0]] + a[1], self.base[b[0]] + b[1]
+            if abs(letter[s]) != abs(letter[t]):
+                raise PairingError("label mismatch: %r reads %s, %r reads %s"
+                                   % (a, letter[s], b, letter[t]), (a, b))
+            partner[s], partner[t] = t, s
+            # the arrows meet head to head and tail to tail
+            u, v = (t, nxt[t]) if (letter[s] > 0) == (letter[t] > 0) else (nxt[t], t)
+            for x, y in ((s, u), (nxt[s], v)):
+                x, y = _find(parent, x), _find(parent, y)
+                if x != y:
+                    parent[max(x, y)] = min(x, y)
+        self.vertex = vertex = [0] * n
+        count = 0
+        for s, r in enumerate(parent):  # a parent r < s is numbered already
+            vertex[s] = vertex[r] if r < s else count
+            count += r == s
+        self.n_vertices = count
+        self.closed = -1 not in partner
+        self._circles = [] if self.closed else self._walk_boundary()
 
-    def _pv(self, i, v):
-        return self._bases[i] + (v % self._sizes[i])
-
-    def _build_vertices(self):
-        uf = _UnionFind(self._total_slots)
-        for a, b in self.pairing.pairs:
-            same = (self.slot_letter(a) > 0) == (self.slot_letter(b) > 0)
-            (ia, ja), (ib, jb) = a, b
-            if same:
-                uf.union(self._pv(ia, ja), self._pv(ib, jb))
-                uf.union(self._pv(ia, ja + 1), self._pv(ib, jb + 1))
-            else:
-                uf.union(self._pv(ia, ja), self._pv(ib, jb + 1))
-                uf.union(self._pv(ia, ja + 1), self._pv(ib, jb))
-        roots = sorted({uf.find(x) for x in range(self._total_slots)})
-        index = {r: k for k, r in enumerate(roots)}
-        self.vertex_of = {}
-        for i in range(len(self.disks)):
-            for v in range(self._sizes[i]):
-                self.vertex_of[(i, v)] = index[uf.find(self._pv(i, v))]
-        self.n_vertices = len(roots)
-
-    def _slot_ends(self, slot):
-        """(tail vertex, head vertex) of the labeled arrow on this slot."""
-        i, j = slot
-        start = self.vertex_of[(i, j)]
-        end = self.vertex_of[(i, (j + 1) % self._sizes[i])]
-        return (start, end) if self.slot_letter(slot) > 0 else (end, start)
-
-    def _build_edges(self):
-        self.edges: List[Edge] = []
-        done = set()
-        for i in range(len(self.disks)):
-            for j in range(self._sizes[i]):
-                slot = (i, j)
-                if slot in done:
-                    continue
-                partner = self.pairing.partner.get(slot)
-                tail, head = self._slot_ends(slot)
-                if partner is None:
-                    slots = (slot,)
-                else:
-                    slots = (slot, partner)
-                    done.add(partner)
-                self.edges.append(Edge(abs(self.slot_letter(slot)), tail, head, slots))
-
-    # boundary machinery: an "end" is (slot, side) with side 0 at the start
-    # vertex of the slot in disk traversal order, 1 at its far vertex.
-
-    def _corner_cross(self, end):
-        (i, j), side = end
-        n = self._sizes[i]
-        if side == 1:
-            return ((i, (j + 1) % n), 0)
-        return ((i, (j - 1) % n), 1)
-
-    def _pair_jump(self, end):
-        slot, side = end
-        partner = self.pairing.partner[slot]
-        same = (self.slot_letter(slot) > 0) == (self.slot_letter(partner) > 0)
-        return (partner, side if same else 1 - side)
-
-    def _build_boundary(self):
-        unpaired = [
-            (i, j)
-            for i in range(len(self.disks))
-            for j in range(self._sizes[i])
-            if (i, j) not in self.pairing.partner
-        ]
-        self.closed = not unpaired
-        self.boundary = []
-        visited = set()
-        for start in unpaired:
-            if start in visited:
+    def _walk_boundary(self):
+        """Boundary circles as lists of (slot, forward): from a free slot
+        the walk turns round its far corner, and on into the partner's
+        neighbour while the slot it reaches is paired."""
+        letter, nxt, prv, partner = self.letter, self.nxt, self.prv, self.partner
+        seen = [False] * len(letter)
+        circles = []
+        for start in range(len(letter)):
+            if partner[start] >= 0 or seen[start]:
                 continue
-            component = []
-            slot, entry = start, 0
+            circle = []
+            s, forward = start, True
             while True:
-                component.append((slot, entry == 0))
-                visited.add(slot)
-                end = (slot, 1 - entry)
-                nxt = self._corner_cross(end)
-                while nxt[0] in self.pairing.partner:
-                    nxt = self._corner_cross(self._pair_jump(nxt))
-                slot, entry = nxt
-                if slot == start:
-                    assert entry == 0, "boundary walk closed inconsistently"
+                circle.append((s, forward))
+                seen[s] = True
+                s = nxt[s] if forward else prv[s]
+                while partner[s] >= 0:
+                    t = partner[s]
+                    if (letter[s] > 0) == (letter[t] > 0):
+                        forward = not forward
+                    s = nxt[t] if forward else prv[t]
+                if s == start:
+                    assert forward, "boundary walk closed inconsistently"
                     break
-            self.boundary.append(tuple(component))
+            circles.append(circle)
+        return circles
 
     # -- reports -------------------------------------------------------------
+
+    def slot_letter(self, slot):
+        return self.letter[self.base[slot[0]] + slot[1]]
+
+    def vertex_at(self, slot):
+        """Vertex id of the first corner of ``(disk, slot)``."""
+        return self.vertex[self.base[slot[0]] + slot[1]]
+
+    def _name(self, s):
+        i = self.disk[s]
+        return (i, s - self.base[i])
+
+    def _arrow(self, s):
+        """(tail vertex, head vertex) of the labeled arrow on slot s."""
+        u, v = self.vertex[s], self.vertex[self.nxt[s]]
+        return (u, v) if self.letter[s] > 0 else (v, u)
+
+    @cached_property
+    def boundary(self):
+        """Boundary circles, each a tuple of ((disk, slot), forward)."""
+        return [tuple((self._name(s), f) for s, f in c) for c in self._circles]
+
+    @cached_property
+    def edges(self) -> List[Edge]:
+        """One edge per free slot and per pair, in order of their least slot."""
+        out = []
+        for s, t in enumerate(self.partner):
+            if 0 <= t < s:
+                continue
+            slots = (self._name(s),) if t < 0 else (self._name(s), self._name(t))
+            out.append(Edge(abs(self.letter[s]), *self._arrow(s), slots))
+        return out
 
     @property
     def m(self):
@@ -256,39 +229,54 @@ class SurfaceComplex:
 
     @property
     def n_edges(self):
-        return len(self.edges)
+        return len(self.letter) - len(self.pairing.pairs)
 
     def euler_characteristic(self):
         return self.n_vertices - self.n_edges + self.m
 
     def connected_components(self):
-        """Groups of disk indices connected through shared vertices."""
-        uf = _UnionFind(len(self.disks) + self.n_vertices)
-        for (i, _v), vid in self.vertex_of.items():
-            uf.union(i, len(self.disks) + vid)
-        groups: Dict[int, List[int]] = {}
-        for i in range(len(self.disks)):
-            groups.setdefault(uf.find(i), []).append(i)
-        return [tuple(g) for g in groups.values()]
+        """Disk indices joined through pairs (so through shared vertices),
+        by least disk."""
+        neighbours = [[] for _ in self.disks]
+        for (i, _j), (k, _l) in self.pairing.pairs:
+            neighbours[i].append(k)
+            neighbours[k].append(i)
+        seen = [False] * len(self.disks)
+        out = []
+        for start in range(len(self.disks)):
+            if seen[start]:
+                continue
+            seen[start] = True
+            comp = [start]
+            for i in comp:  # grows while it is read
+                for k in neighbours[i]:
+                    if not seen[k]:
+                        seen[k] = True
+                        comp.append(k)
+            out.append(tuple(sorted(comp)))
+        return out
 
     def component_euler_data(self):
         """Per component: (disks, vertex count, edge count, chi)."""
         comps = self.connected_components()
-        of_disk = {}
+        of_disk = [0] * len(self.disks)
         for k, comp in enumerate(comps):
             for i in comp:
                 of_disk[i] = k
-        v_sets = [set() for _ in comps]
+        v_counts = [0] * len(comps)
         e_counts = [0] * len(comps)
-        for (i, v), vid in self.vertex_of.items():
-            v_sets[of_disk[i]].add(vid)
-        for edge in self.edges:
-            e_counts[of_disk[edge.slots[0][0]]] += 1
-        out = []
-        for k, comp in enumerate(comps):
-            chi = len(v_sets[k]) - e_counts[k] + len(comp)
-            out.append((comp, len(v_sets[k]), e_counts[k], chi))
-        return out
+        fresh = 0  # a vertex is counted at its least slot, where its id first shows
+        for s, t in enumerate(self.partner):
+            k = of_disk[self.disk[s]]
+            if self.vertex[s] == fresh:
+                fresh += 1
+                v_counts[k] += 1
+            if t < 0 or t > s:
+                e_counts[k] += 1
+        return [
+            (comp, v_counts[k], e_counts[k], v_counts[k] - e_counts[k] + len(comp))
+            for k, comp in enumerate(comps)
+        ]
 
     def is_connected(self):
         return len(self.connected_components()) == 1
@@ -314,21 +302,25 @@ def build_complex(disks, pairing):
 
 
 def check_immersion(S: SurfaceComplex):
-    """Per vertex and generator: at most one incoming and one outgoing edge."""
-    from collections import Counter
+    """Per vertex and generator: at most one incoming and one outgoing edge.
 
-    ins: Counter = Counter()
-    outs: Counter = Counter()
-    for e in S.edges:
-        outs[(e.tail, e.label)] += 1
-        ins[(e.head, e.label)] += 1
-    violations = []
-    for (v, g), c in sorted(outs.items()):
-        if c > 1:
-            violations.append((v, g, "out", c))
-    for (v, g), c in sorted(ins.items()):
-        if c > 1:
-            violations.append((v, g, "in", c))
+    Returns (ok, violations), each violation (vertex, generator, "out" or
+    "in", count), outgoing ones first, each kind by vertex and generator.
+    """
+    rank = max(map(abs, S.letter), default=1)
+    outs = [0] * (S.n_vertices * rank)
+    ins = [0] * (S.n_vertices * rank)
+    for s, (x, t) in enumerate(zip(S.letter, S.partner)):
+        if t < 0 or t > s:
+            tail, head = S._arrow(s)
+            outs[tail * rank + abs(x) - 1] += 1
+            ins[head * rank + abs(x) - 1] += 1
+    violations = [
+        (k // rank, k % rank + 1, kind, c)
+        for kind, counts in (("out", outs), ("in", ins))
+        for k, c in enumerate(counts)
+        if c > 1
+    ]
     return (not violations, violations)
 
 
@@ -467,11 +459,11 @@ class PolygonalityCertificate:
 
         word = cyclic_word(data["word"], data["rank"])
         powers = tuple(d["power"] for d in data["disks"])
-        pairing = None
-        if data.get("pairing") is not None:
-            pairing = SidePairing(
-                [(tuple(a), tuple(b)) for a, b in data["pairing"]]
-            )
+        pairs = [(tuple(a), tuple(b)) for a, b in data.get("pairing") or ()]
+        numbers = powers + tuple(x for pair in pairs for slot in pair for x in slot)
+        if any(type(x) is not int for x in numbers):
+            raise ValueError("disk powers and slot indices must be integers")
+        pairing = SidePairing(pairs) if data.get("pairing") is not None else None
         verdict = data["verdict"]
         tn = None
         if "tn_certificate" in data:
@@ -542,7 +534,7 @@ def certify(w: CyclicWord, disks, pairing) -> PolygonalityCertificate:
     if not immersion_ok:
         detail = "immersion violations: %s" % (violations[:3],)
     elif not S.closed:
-        detail = "%d boundary components remain" % len(S.boundary)
+        detail = "%d boundary components remain" % len(S._circles)
     elif not chi_ok:
         detail = "a component has chi >= its disk count"
     return PolygonalityCertificate(
@@ -574,6 +566,13 @@ def proper_power_certificate(w: CyclicWord) -> PolygonalityCertificate:
     )
 
 
+def _lambda_term(sign, flags):
+    """The term of a circle: a-run lengths between its b-incident vertices."""
+    marked = [k for k, f in enumerate(flags) if f]
+    ends = marked[1:] + [marked[0] + len(flags)]
+    return LambdaTerm(sign, tuple(b - a for a, b in zip(marked, ends)))
+
+
 @dataclass(frozen=True)
 class LambdaComponent:
     """One boundary circle of a consistent b-side-pairing quotient.
@@ -589,11 +588,51 @@ class LambdaComponent:
 
     @property
     def term(self):
-        marked = [k for k, f in enumerate(self.flags) if f]
-        lengths = []
-        for a, b in zip(marked, marked[1:] + [marked[0] + len(self.flags)]):
-            lengths.append(b - a)
-        return LambdaTerm(self.sign, tuple(lengths))
+        return _lambda_term(self.sign, self.flags)
+
+
+def _lambda_circles(S: SurfaceComplex, a_gen, b_gen):
+    """(sign, slots, vertices, flags) per boundary circle, slots as global
+    indices; see :func:`lambda_components`."""
+    letter, nxt, vertex = S.letter, S.nxt, S.vertex
+    b_out = [0] * S.n_vertices
+    b_in = [0] * S.n_vertices
+    for s, t in enumerate(S.partner):
+        label = abs(letter[s])
+        if t > s:
+            if label != b_gen:
+                raise LambdaError("interior edge with label a%d; expected only a%d paired"
+                                  % (label, b_gen))
+            tail, head = S._arrow(s)
+            b_out[tail] += 1
+            b_in[head] += 1
+        elif t < 0 and label != a_gen:
+            raise LambdaError("boundary edge with label a%d; expected only a%d free"
+                              % (label, a_gen))
+    if S.closed:
+        raise LambdaError("closed surface has no boundary invariant")
+    out = []
+    for circle in S._circles:
+        # orient the circle along the a-arrows
+        dirs = {forward == (letter[s] > 0) for s, forward in circle}
+        if len(dirs) != 1:
+            raise LambdaError("boundary circle with inconsistently oriented a-edges")
+        slots = [s for s, _f in (circle if dirs.pop() else reversed(circle))]
+        verts = [vertex[s] if letter[s] > 0 else vertex[nxt[s]] for s in slots]
+        flags, sign = [], 0
+        for v in verts:
+            o, i_ = b_out[v], b_in[v]
+            if o and i_:
+                raise LambdaError("vertex %d meets both incoming and outgoing b-edges" % v)
+            flags.append(bool(o or i_))
+            if flags[-1]:
+                if sign and sign != (1 if o else -1):
+                    raise LambdaError("mixed b-edge directions on one boundary circle")
+                sign = 1 if o else -1
+        if not any(flags):
+            raise LambdaError("boundary circle meets no b-edges")
+        out.append((sign, slots, verts, flags))
+    return out
 
 
 def lambda_components(S: SurfaceComplex, a_gen=1, b_gen=2):
@@ -603,55 +642,10 @@ def lambda_components(S: SurfaceComplex, a_gen=1, b_gen=2):
     a label; on each circle the incident b-edges must point uniformly in
     or uniformly out, and the a-arrows must orient the circle.
     """
-    for e in S.edges:
-        if len(e.slots) == 2 and e.label != b_gen:
-            raise LambdaError("interior edge with label a%d; expected only a%d paired"
-                              % (e.label, b_gen))
-        if len(e.slots) == 1 and e.label != a_gen:
-            raise LambdaError("boundary edge with label a%d; expected only a%d free"
-                              % (e.label, a_gen))
-    if S.closed:
-        raise LambdaError("closed surface has no boundary invariant")
-    b_out = {}
-    b_in = {}
-    for e in S.edges:
-        if len(e.slots) == 2:
-            b_out[e.tail] = b_out.get(e.tail, 0) + 1
-            b_in[e.head] = b_in.get(e.head, 0) + 1
-    out = []
-    for component in S.boundary:
-        # orient the circle along the a-arrows
-        dirs = {
-            forward == (S.slot_letter(slot) > 0) for slot, forward in component
-        }
-        if len(dirs) != 1:
-            raise LambdaError("boundary circle with inconsistently oriented a-edges")
-        steps = component if dirs.pop() else tuple(reversed(component))
-        slots = []
-        verts = []
-        for slot, forward in steps:
-            i, j = slot
-            arrow_tail = j if (S.slot_letter(slot) > 0) else (j + 1) % S._sizes[i]
-            slots.append(slot)
-            verts.append(S.vertex_of[(i, arrow_tail)])
-        flags = []
-        sign = 0
-        for v in verts:
-            o, i_ = b_out.get(v, 0), b_in.get(v, 0)
-            if o and i_:
-                raise LambdaError("vertex %d meets both incoming and outgoing b-edges" % v)
-            if o or i_:
-                s = 1 if o else -1
-                if sign and s != sign:
-                    raise LambdaError("mixed b-edge directions on one boundary circle")
-                sign = s
-                flags.append(True)
-            else:
-                flags.append(False)
-        if not any(flags):
-            raise LambdaError("boundary circle meets no b-edges")
-        out.append(LambdaComponent(sign, tuple(slots), tuple(verts), tuple(flags)))
-    return out
+    return [
+        LambdaComponent(sign, tuple(map(S._name, slots)), tuple(verts), tuple(flags))
+        for sign, slots, verts, flags in _lambda_circles(S, a_gen, b_gen)
+    ]
 
 
 def boundary_lambda(S: SurfaceComplex, a_gen=1, b_gen=2) -> LambdaMultiset:
@@ -661,9 +655,12 @@ def boundary_lambda(S: SurfaceComplex, a_gen=1, b_gen=2) -> LambdaMultiset:
     outgoing, - when all incoming; the composition lists the a-run lengths
     between b-incident vertices, up to rotation.
     """
-    return LambdaMultiset(
-        tuple(c.term for c in lambda_components(S, a_gen, b_gen))
+    # circles repeat a few compositions many times: build each term once
+    circles = Counter(
+        (sign, tuple(flags)) for sign, _s, _v, flags in _lambda_circles(S, a_gen, b_gen)
     )
+    terms = (t for key, k in circles.items() for t in [_lambda_term(*key)] * k)
+    return LambdaMultiset(tuple(terms))
 
 
 def transform_certificate(cert: PolygonalityCertificate, rel: Relabeling):

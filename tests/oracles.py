@@ -260,3 +260,215 @@ def cycle_cover_lp(w):
         basis[leave] = enter
     value = [sum(cost[basis[i]][t] * table[i][-1] for i in range(r)) for t in (0, 1)]
     return None if value[0] < 0 else value[1]
+
+
+class ReferenceComplex:
+    """The quotient of disks by a side-pairing on ``(disk, slot)`` keys.
+
+    A slow, literal construction kept as the reference for
+    ``complexes.SurfaceComplex``: vertices from a union-find over
+    ``(disk, vertex)`` pairs (vertex j of a disk starts slot j), edges in
+    slot order, boundary circles walked corner by corner, and the
+    immersion, per-component chi and boundary-invariant reports on top.
+    """
+
+    def __init__(self, disks, pairs):
+        self.disks = tuple(disks)
+        self.letters = [d.boundary_letters() for d in self.disks]
+        self.sizes = [d.size for d in self.disks]
+        self.partner = {}
+        for a, b in pairs:
+            a, b = tuple(a), tuple(b)
+            self.partner[a], self.partner[b] = b, a
+        names = [(i, v) for i in range(len(self.disks)) for v in range(self.sizes[i])]
+        parent = {x: x for x in names}
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        def union(x, y):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
+
+        for a, b in pairs:
+            (ia, ja), (ib, jb) = a, b
+            na, nb = (ia, (ja + 1) % self.sizes[ia]), (ib, (jb + 1) % self.sizes[ib])
+            if (self.letter(a) > 0) == (self.letter(b) > 0):
+                union((ia, ja), (ib, jb))
+                union(na, nb)
+            else:
+                union((ia, ja), nb)
+                union(na, (ib, jb))
+        roots = sorted({find(x) for x in names})
+        number = {r: k for k, r in enumerate(roots)}
+        self.vertex_of = {x: number[find(x)] for x in names}
+        self.n_vertices = len(roots)
+        self.edges = []
+        for slot in names:
+            other = self.partner.get(slot)
+            if other is not None and other < slot:
+                continue
+            slots = (slot,) if other is None else (slot, other)
+            self.edges.append((abs(self.letter(slot)),) + self.ends(slot) + (slots,))
+        self.boundary = self._walk([x for x in names if x not in self.partner])
+        self.closed = not self.boundary
+
+    def letter(self, slot):
+        return self.letters[slot[0]][slot[1]]
+
+    def ends(self, slot):
+        """(tail vertex, head vertex) of the labeled arrow on this slot."""
+        i, j = slot
+        start = self.vertex_of[(i, j)]
+        end = self.vertex_of[(i, (j + 1) % self.sizes[i])]
+        return (start, end) if self.letter(slot) > 0 else (end, start)
+
+    def _walk(self, unpaired):
+        # an end (slot, side) sits at the slot's first vertex in disk order
+        # for side 0 and at its second for side 1
+        def cross(slot, side):
+            i, j = slot
+            if side == 1:
+                return (i, (j + 1) % self.sizes[i]), 0
+            return (i, (j - 1) % self.sizes[i]), 1
+
+        circles, visited = [], set()
+        for start in unpaired:
+            if start in visited:
+                continue
+            circle, slot, entry = [], start, 0
+            while True:
+                circle.append((slot, entry == 0))
+                visited.add(slot)
+                slot, side = cross(slot, 1 - entry)
+                while slot in self.partner:
+                    other = self.partner[slot]
+                    if (self.letter(slot) > 0) != (self.letter(other) > 0):
+                        side = 1 - side
+                    slot, side = cross(other, side)
+                entry = side
+                if slot == start:
+                    assert entry == 0
+                    break
+            circles.append(tuple(circle))
+        return circles
+
+    def check_immersion(self):
+        """(ok, violations): violations (vertex, generator, "out"|"in", count)."""
+        from collections import Counter
+
+        outs = Counter((tail, label) for label, tail, _h, _s in self.edges)
+        ins = Counter((head, label) for label, _t, head, _s in self.edges)
+        violations = [(v, g, "out", c) for (v, g), c in sorted(outs.items()) if c > 1]
+        violations += [(v, g, "in", c) for (v, g), c in sorted(ins.items()) if c > 1]
+        return not violations, violations
+
+    def component_euler_data(self):
+        """Per component, by least disk: (disks, vertices, edges, chi)."""
+        disks_at = {}
+        for (i, _v), vid in self.vertex_of.items():
+            disks_at.setdefault(vid, set()).add(i)
+        comps, seen = [], set()
+        for start in range(len(self.disks)):
+            if start in seen:
+                continue
+            comp, stack = {start}, [start]
+            while stack:
+                i = stack.pop()
+                for v in range(self.sizes[i]):
+                    for k in disks_at[self.vertex_of[(i, v)]] - comp:
+                        comp.add(k)
+                        stack.append(k)
+            seen |= comp
+            comps.append(tuple(sorted(comp)))
+        out = []
+        for comp in comps:
+            verts = {self.vertex_of[(i, v)] for i in comp for v in range(self.sizes[i])}
+            n_edges = sum(1 for e in self.edges if e[3][0][0] in comp)
+            out.append((comp, len(verts), n_edges, len(verts) - n_edges + len(comp)))
+        return out
+
+    def lambda_components(self, a_gen=1, b_gen=2):
+        """(sign, slots, vertices, flags) per boundary circle, in a-arrow
+        order; raises ``LambdaError`` where the b-side-pairing is not
+        consistent."""
+        from polyw.complexes import LambdaError
+
+        for label, _t, _h, slots in self.edges:
+            if len(slots) == 2 and label != b_gen:
+                raise LambdaError("interior edge with label a%d; expected only a%d paired"
+                                  % (label, b_gen))
+            if len(slots) == 1 and label != a_gen:
+                raise LambdaError("boundary edge with label a%d; expected only a%d free"
+                                  % (label, a_gen))
+        if self.closed:
+            raise LambdaError("closed surface has no boundary invariant")
+        b_out = {e[1] for e in self.edges if len(e[3]) == 2}
+        b_in = {e[2] for e in self.edges if len(e[3]) == 2}
+        out = []
+        for circle in self.boundary:
+            dirs = {forward == (self.letter(slot) > 0) for slot, forward in circle}
+            if len(dirs) != 1:
+                raise LambdaError("boundary circle with inconsistently oriented a-edges")
+            steps = circle if dirs.pop() else tuple(reversed(circle))
+            slots = tuple(slot for slot, _f in steps)
+            verts = tuple(self.ends(slot)[0] for slot in slots)
+            flags, sign = [], 0
+            for v in verts:
+                if v in b_out and v in b_in:
+                    raise LambdaError("vertex %d meets both incoming and outgoing b-edges" % v)
+                flags.append(v in b_out or v in b_in)
+                if flags[-1]:
+                    s = 1 if v in b_out else -1
+                    if sign and s != sign:
+                        raise LambdaError("mixed b-edge directions on one boundary circle")
+                    sign = s
+            if not any(flags):
+                raise LambdaError("boundary circle meets no b-edges")
+            out.append((sign, slots, verts, tuple(flags)))
+        return out
+
+
+def assert_matches_reference(S):
+    """Assert that the complex S agrees exactly with ``ReferenceComplex``
+    on the same disks and pairs: vertex ids, edges, boundary circles in
+    order, immersion violations, chi per component, and the boundary
+    invariant's circles or its ``LambdaError``.  Returns the reference
+    lambda circles, or the error text."""
+    from polyw.complexes import LambdaError, boundary_lambda, check_immersion, lambda_components
+    from polyw.invariants import LambdaMultiset, LambdaTerm
+
+    ref = ReferenceComplex(S.disks, S.pairing.pairs)
+    assert S.n_vertices == ref.n_vertices
+    assert {x: S.vertex_at(x) for x in ref.vertex_of} == ref.vertex_of
+    assert [(e.label, e.tail, e.head, e.slots) for e in S.edges] == ref.edges
+    assert S.n_edges == len(ref.edges)
+    assert S.euler_characteristic() == ref.n_vertices - len(ref.edges) + len(S.disks)
+    assert S.boundary == ref.boundary and S.closed == ref.closed
+    assert check_immersion(S) == ref.check_immersion()
+    assert S.component_euler_data() == ref.component_euler_data()
+
+    def outcome(circles):
+        try:
+            return circles()
+        except LambdaError as err:
+            return "LambdaError: %s" % err
+
+    want = outcome(ref.lambda_components)
+    got = outcome(lambda: lambda_components(S))
+    if isinstance(want, str):
+        assert got == want
+        assert outcome(lambda: boundary_lambda(S)) == want
+        return want
+    assert [(c.sign, c.slots, c.vertices, c.flags) for c in got] == want
+    terms = []
+    for sign, _slots, _verts, flags in want:
+        marked = [k for k, f in enumerate(flags) if f]
+        gaps = [(b - a) % len(flags) or len(flags) for a, b in zip(marked, marked[1:] + marked[:1])]
+        terms.append(LambdaTerm(sign, tuple(gaps)))
+    assert [c.term for c in got] == terms
+    assert boundary_lambda(S) == LambdaMultiset(tuple(terms))
+    return want

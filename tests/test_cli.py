@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import polyw
+from polyw import cli
 from polyw.cli import build_parser, check_polygonal
 from polyw.cyclecover import verify_dual
 from polyw.words import cyclic_word
@@ -177,3 +178,56 @@ def test_check_polygonal_library_pipeline():
     assert verdict.status == "polygonal" and verdict.exit_code == 0
     verdict = check_polygonal(cyclic_word("ab"))
     assert verdict.status == "not-polygonal" and verdict.exit_code == 1
+
+
+def run_main(*argv):
+    """Exit code of ``polyw.cli.main`` called in this process."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    return exc.value.code
+
+
+MALFORMED = {
+    "slot out of range": (
+        {"word": "abAB", "rank": 2, "disks": [{"power": 1}], "pairing": [[[0, 0], [0, 9]]]},
+        "error: slot (0, 9) out of range"),
+    "power 0": (
+        {"word": "abAB", "rank": 2, "disks": [{"power": 0}],
+         "pairing": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]},
+        "error: disk power must be nonzero"),
+    "fractional slot": (
+        {"word": "abAB", "rank": 2, "disks": [{"power": 1}], "pairing": [[[0, 1.5], [0, 3]]]},
+        "cannot load certificate: disk powers and slot indices must be integers"),
+    # two a-edges leave one vertex: no cover to complete (plain render draws it)
+    "not immersed": (
+        {"word": "a^2", "rank": 1, "disks": [{"power": 1}, {"power": 1}],
+         "pairing": [[[0, 0], [1, 0]]]},
+        "error: generator 1 map is not a partial injection"),
+}
+
+
+@pytest.mark.parametrize("case, command", [
+    (case, command)
+    for case in sorted(MALFORMED)
+    for command in [("render",), ("render", "--cover"), ("cover",)]
+    if (case, command) != ("not immersed", ("render",))
+])
+def test_malformed_certificate_exit_three(tmp_path, capsys, case, command):
+    fields, message = MALFORMED[case]
+    verdict = {"chi": 0, "m": 1, "vertices": 1, "immersion": True, "closed": True,
+               "polygonal": True}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(fields, verdict=verdict)))
+    assert run_main(command[0], str(path), *command[1:]) == 3
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "a b A B"),
+    ("rho", "a^2 b^-3"),
+    ("stats", "--length", "10", "--samples", "5", "--seed", "1"),
+])
+def test_unwritable_out_exit_three(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.json"
+    assert run_main(*argv, "--out", str(target)) == 3
+    assert capsys.readouterr().err.startswith("error: ") and not target.exists()

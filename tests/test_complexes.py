@@ -25,7 +25,9 @@ from polyw.constructors import (
     height_one_q_disk_pairing,
 )
 from polyw.invariants import is_simple_height_one, lam, rho, tn_membership
-from polyw.words import Relabeling, cyclic_word
+from polyw.words import CyclicWord, Relabeling, cyclic_word
+
+from oracles import assert_matches_reference
 
 W = cyclic_word("a (a^2)^b")  # canonical aabaB
 FIG = cyclic_word("a^2 (a^-1)^b a a^b")
@@ -199,7 +201,7 @@ def test_power_separated_vertices_never_identified():
             for j in range(d.size):
                 for h in range(n, d.size, n):
                     assert (
-                        S.vertex_of[(i, j)] != S.vertex_of[(i, (j + h) % d.size)]
+                        S.vertex_at((i, j)) != S.vertex_at((i, (j + h) % d.size))
                     ), (i, j, h)
 
 
@@ -243,3 +245,63 @@ def test_dot_export():
     S = torus_cert().complex()
     dot = S.to_dot()
     assert dot.startswith("digraph") and '"a1"' in dot and '"a2"' in dot
+
+
+def random_pairing(rng, disks, labels, keep):
+    """Slots of the given labels matched at random within each label; each
+    pair is kept with probability ``keep``."""
+    by_label = {}
+    for i, d in enumerate(disks):
+        for j, x in enumerate(d.boundary_letters()):
+            if abs(x) in labels:
+                by_label.setdefault(abs(x), []).append((i, j))
+    pairs = []
+    for slots in by_label.values():
+        rng.shuffle(slots)
+        pairs += [(slots[k], slots[k + 1]) for k in range(0, len(slots) - 1, 2)
+                  if rng.random() < keep]
+    return pairs
+
+
+def random_letters(rng, rank, length):
+    """A cyclically reduced word of the given rank and length."""
+    alphabet = [g * e for g in range(1, rank + 1) for e in (1, -1)]
+    while True:
+        letters = [rng.choice(alphabet)]
+        while len(letters) < length:
+            x = rng.choice(alphabet)
+            if x != -letters[-1]:
+                letters.append(x)
+        if letters[0] != -letters[-1]:
+            return letters
+
+
+def test_complex_matches_reference_on_random_pairings():
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(400):
+        rank = rng.choice((2, 3))
+        w = CyclicWord(rank, random_letters(rng, rank, rng.randint(1, 6)))
+        disks = [DiskSpec(w, rng.choice((1, 2, 3, -1, -2))) for _ in range(rng.randint(1, 3))]
+        pairs = random_pairing(rng, disks, range(1, rank + 1), rng.choice((1.0, 0.6)))
+        S = build_complex(disks, pairs)
+        assert_matches_reference(S)
+        seen.add((S.closed, check_immersion(S)[0], len(S.connected_components()) > 1,
+                  any(d.power < 0 for d in disks)))
+    # closed or not, immersed or not, split or not, with or without negative powers
+    assert all({key[k] for key in seen} == {False, True} for k in range(4))
+
+
+def test_boundary_invariant_matches_reference_on_random_b_pairings():
+    # b-slots matched at random on height-one words: some quotients carry
+    # a boundary invariant and the rest fail one of its conditions
+    rng = random.Random(6)
+    valid = 0
+    for _ in range(300):
+        parts = [(rng.choice((1, 2, 3)), rng.choice((1, 2))) for _ in range(rng.randint(1, 2))]
+        sign = rng.choice((1, -1))
+        w = cyclic_word(" ".join("a^%d (a^%d)^b" % (sign * p, q) for p, q in parts))
+        disks = [DiskSpec(w, rng.choice((1, 2, -1, 2, 4))) for _ in range(rng.randint(1, 3))]
+        S = build_complex(disks, random_pairing(rng, disks, (2,), 1.0))
+        valid += not isinstance(assert_matches_reference(S), str)
+    assert valid >= 20

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from polyw import constructors
+from oracles import assert_matches_reference
+from polyw import complexes, constructors
 from polyw.complexes import DiskSpec, boundary_lambda, build_complex, certify
 from polyw.constructors import (
     ConstructionError,
@@ -27,6 +28,23 @@ from polyw.invariants import (
     tn_membership,
 )
 from polyw.words import cyclic_word
+
+
+@pytest.fixture(autouse=True)
+def complexes_match_reference(monkeypatch):
+    """Every complex a test here builds, the constructors' and certify's
+    included, agrees exactly with the reference quotient."""
+    built = []
+
+    class Recorded(complexes.SurfaceComplex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(complexes, "SurfaceComplex", Recorded)
+    yield
+    for S in built:
+        assert_matches_reference(S)
 
 
 def test_two_disk_rotation_figure_word():
