@@ -591,7 +591,7 @@ class LambdaComponent:
         return _lambda_term(self.sign, self.flags)
 
 
-def _lambda_circles(S: SurfaceComplex, a_gen, b_gen):
+def _lambda_circles(S: SurfaceComplex):
     """(sign, slots, vertices, flags) per boundary circle, slots as global
     indices; see :func:`lambda_components`."""
     letter, nxt, vertex = S.letter, S.nxt, S.vertex
@@ -600,15 +600,14 @@ def _lambda_circles(S: SurfaceComplex, a_gen, b_gen):
     for s, t in enumerate(S.partner):
         label = abs(letter[s])
         if t > s:
-            if label != b_gen:
-                raise LambdaError("interior edge with label a%d; expected only a%d paired"
-                                  % (label, b_gen))
+            if label != 2:
+                raise LambdaError("interior edge with label a%d; expected only a2 paired"
+                                  % label)
             tail, head = S._arrow(s)
             b_out[tail] += 1
             b_in[head] += 1
-        elif t < 0 and label != a_gen:
-            raise LambdaError("boundary edge with label a%d; expected only a%d free"
-                              % (label, a_gen))
+        elif t < 0 and label != 1:
+            raise LambdaError("boundary edge with label a%d; expected only a1 free" % label)
     if S.closed:
         raise LambdaError("closed surface has no boundary invariant")
     out = []
@@ -635,7 +634,7 @@ def _lambda_circles(S: SurfaceComplex, a_gen, b_gen):
     return out
 
 
-def lambda_components(S: SurfaceComplex, a_gen=1, b_gen=2):
+def lambda_components(S: SurfaceComplex):
     """Per-circle boundary data of a consistent b-side-pairing quotient.
 
     Every interior edge must carry the b label and every boundary slot the
@@ -644,11 +643,11 @@ def lambda_components(S: SurfaceComplex, a_gen=1, b_gen=2):
     """
     return [
         LambdaComponent(sign, tuple(map(S._name, slots)), tuple(verts), tuple(flags))
-        for sign, slots, verts, flags in _lambda_circles(S, a_gen, b_gen)
+        for sign, slots, verts, flags in _lambda_circles(S)
     ]
 
 
-def boundary_lambda(S: SurfaceComplex, a_gen=1, b_gen=2) -> LambdaMultiset:
+def boundary_lambda(S: SurfaceComplex) -> LambdaMultiset:
     """Boundary invariant of a consistent b-side-pairing quotient.
 
     Per boundary circle: sign + when the incident b-edges are all
@@ -656,9 +655,7 @@ def boundary_lambda(S: SurfaceComplex, a_gen=1, b_gen=2) -> LambdaMultiset:
     between b-incident vertices, up to rotation.
     """
     # circles repeat a few compositions many times: build each term once
-    circles = Counter(
-        (sign, tuple(flags)) for sign, _s, _v, flags in _lambda_circles(S, a_gen, b_gen)
-    )
+    circles = Counter((sign, tuple(flags)) for sign, _s, _v, flags in _lambda_circles(S))
     terms = (t for key, k in circles.items() for t in [_lambda_term(*key)] * k)
     return LambdaMultiset(tuple(terms))
 

@@ -9,7 +9,7 @@ Proper powers short-circuit to the declarative certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, lcm
+from math import lcm
 from typing import List, Optional, Tuple
 
 from .complexes import (
@@ -356,11 +356,7 @@ def _perm_order(perm):
     return order
 
 
-def construct_height_one(
-    w: CyclicWord,
-    d: Optional[int] = None,
-    use_factorial_d: bool = False,
-) -> PolygonalityCertificate:
+def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
     """Simple height-one words with pp' <= q^2 and qq' <= p^2.
 
     Builds the block of p-side and q-side disks with a consistent
@@ -382,8 +378,7 @@ def construct_height_one(
         rel = Relabeling(invert=frozenset({2}))
         from .complexes import transform_certificate
 
-        inner = construct_height_one(transform(w, rel), d=d,
-                                     use_factorial_d=use_factorial_d)
+        inner = construct_height_one(transform(w, rel))
         if inner.declarative is not None:
             raise ConstructionError("swap changed proper-power status of %s" % w)
         out = transform_certificate(inner, rel)
@@ -426,21 +421,12 @@ def construct_height_one(
     perm = list(range(c))
     for k0 in sorted(A):
         perm = [g_of(k0, perm[i]) for i in range(c)]
-    order = _perm_order(perm)
-    if use_factorial_d:
-        d_val = factorial(c)
-    elif d is not None:
-        d_val = d
-    else:
-        d_val = order
-    if d_val % order:
-        raise ValueError("d=%d does not kill the chain permutation (order %d)"
-                         % (d_val, order))
+    d = _perm_order(perm)
 
-    disks = [DiskSpec(w, d_val * P) for _ in range(c)] + [
-        DiskSpec(w, d_val * Q) for _ in range(c)
+    disks = [DiskSpec(w, d * P) for _ in range(c)] + [
+        DiskSpec(w, d * Q) for _ in range(c)
     ]
-    alphas_p, betas_p = _height_one_positions(shape, d_val * P)
+    alphas_p, betas_p = _height_one_positions(shape, d * P)
     nf_p = len(alphas_p)
     pairs = []
     for i in range(c):
@@ -452,7 +438,7 @@ def construct_height_one(
                 target = i
             pairs.append(((i, betas_p[(j - 1) % nf_p]), (target % c, alphas_p[j])))
     for i in range(c):
-        pairs.extend(height_one_q_disk_pairing(shape, d_val * Q, c + i))
+        pairs.extend(height_one_q_disk_pairing(shape, d * Q, c + i))
 
     S = build_complex(disks, pairs)
     invariant = boundary_lambda(S)
@@ -491,7 +477,7 @@ def construct_height_one(
     out.construction = {
         "strategy": "height-one",
         "c": c,
-        "d": d_val,
+        "d": d,
         "doubled": doubled,
         "shift_factors": sorted(A),
         "shift_targets": x,

@@ -1,20 +1,34 @@
 """Abelian-monoid invariants attached to syllable junctions and boundaries.
 
 The rho invariant of a word is the multiset of signed generator pairs read
-off consecutive syllables; membership in the submonoid generated by cycles
-with pairwise distinct generator absolute values licenses the two-disk
-surface construction.  The lambda invariant of a boundary circle records
-the sign of its transverse b-edges and the composition of a-edge run
-lengths; membership in the monoid U licenses gluing boundary circles into
-a closed immersed surface.
+off consecutive syllables; membership in the submonoid T_n generated by
+cycles with pairwise distinct generator absolute values licenses the
+two-disk surface construction.  The lambda invariant of a boundary circle
+records the sign of its transverse b-edges and the composition of a-edge
+run lengths; membership in the monoid U licenses gluing boundary circles
+into a closed immersed surface.
+
+Both memberships run one count-vector decomposition, :func:`_decompose`.
+It anchors at the least type with a nonzero count and tries the generators
+through the anchor in a fixed order: for T_n the cycles through the anchor
+pair, depth first, the closing pair before extensions in type and
+orientation order; for U the feasible partners j >= k of the anchor type k,
+one total class at a time in increasing total, since terms of different
+totals never pair.  Memoizing failed residual vectors prunes only subtrees
+holding no decomposition, so None is a complete negative and the result is
+the first decomposition in move order, the one depth-first backtracking over
+the sorted pairs or terms finds.  The caps bound no recursion, only the size
+of the construction a member licenses, until the benchmark is re-based.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, groupby
 from typing import Optional, Tuple
 
-from .words import CyclicWord, syllable_decomposition
+from .words import CyclicWord, rotation_offset, syllable_decomposition
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -23,6 +37,37 @@ class ResourceCapExceeded(RuntimeError):
 
 DEFAULT_PAIR_CAP = 512
 DEFAULT_TERM_CAP = 2048
+
+
+def _decompose(counts, moves):
+    """The payloads of the first decomposition of a type-count vector, or None.
+
+    ``moves(anchor, counts)`` yields the ``(used types, payload)`` moves through
+    the least type with a nonzero count, in choice order, each one available."""
+    counts = list(counts)
+    failed, frames, taken = set(), [], []  # taken[i]: the move frame i tries
+    while True:
+        anchor = next((t for t, c in enumerate(counts) if c), None)
+        if anchor is None:
+            return [payload for _used, payload in taken]
+        frames.append((tuple(counts), iter(moves(anchor, counts))))
+        while frames:
+            residual, untried = frames[-1]
+            if len(taken) == len(frames):  # back from a failed move: undo it
+                for t in taken.pop()[0]:
+                    counts[t] += 1
+            move = next(untried, None)
+            if move is None:
+                failed.add(residual)
+                frames.pop()
+                continue
+            taken.append(move)
+            for t in move[0]:
+                counts[t] -= 1
+            if tuple(counts) not in failed:
+                break
+        else:
+            return None
 
 
 def canonical_pair(pair):
@@ -119,66 +164,37 @@ def verify_tn_certificate(cert: TnCertificate, element: RhoElement) -> bool:
     return cert.rank == element.rank and cert.resummation().pairs == element.pairs
 
 
-def _orientations(pair):
-    i, j = pair
-    return ((i, j), (-j, -i))
+def tn_membership(element: RhoElement) -> Optional[TnCertificate]:
+    """Decompose the multiset into generator cycles, or exhaustively fail."""
+    if len(element) > DEFAULT_PAIR_CAP:
+        raise ResourceCapExceeded("element has %d pairs > cap %d"
+                                  % (len(element), DEFAULT_PAIR_CAP))
+    types = [p for p, _run in groupby(element.pairs)]
+    index = {p: t for t, p in enumerate(types)}
+    starts = defaultdict(list)  # letter x -> (type, y) per orientation (x, y)
+    for t, (i, j) in enumerate(types):
+        starts[i].append((t, j))
+        starts[-j].append((t, -i))
 
+    def cycles(anchor, counts):
+        # a cycle never repeats a pair type: the walk leaves counts alone
+        def walk(chain, used):
+            closer = index.get(canonical_pair((chain[-1], chain[0])))
+            if closer is not None and counts[closer]:
+                yield used + (closer,), chain
+            if len(chain) < element.rank:
+                for t, y in starts[chain[-1]]:
+                    if counts[t] and all(abs(y) != abs(x) for x in chain):
+                        yield from walk(chain + (y,), used + (t,))
 
-def tn_membership(element: RhoElement, cap=DEFAULT_PAIR_CAP) -> Optional[TnCertificate]:
-    """Decompose the multiset into generator cycles, or exhaustively fail.
+        i, j = types[anchor]
+        yield from walk((i, j), (anchor,))
+        yield from walk((-j, -i), (anchor,))
 
-    Backtracking over orientation choices and cycle partitions, anchored at
-    the least remaining pair; failed residual multisets are memoized, so a
-    None answer is a complete negative.
-    """
-    if len(element) > cap:
-        raise ResourceCapExceeded("element has %d pairs > cap %d" % (len(element), cap))
-    rank = element.rank
-    failed = set()
-
-    def grow(chain, last, used_abs, remaining):
-        """Yield (cycle, leftover) completions of the open chain."""
-        first = chain[0]
-        closer = canonical_pair((last, first))
-        items = list(remaining)
-        for idx, p in enumerate(items):
-            if p == closer:
-                yield chain + (last,), tuple(items[:idx] + items[idx + 1 :])
-                break
-        if len(used_abs) + 1 >= rank:
-            return
-        tried = set()
-        for idx, p in enumerate(items):
-            if p in tried:
-                continue
-            tried.add(p)
-            for o in _orientations(p):
-                if o[0] == last and abs(o[1]) not in used_abs and abs(o[1]) != abs(last):
-                    yield from grow(
-                        chain + (last,),
-                        o[1],
-                        used_abs | {abs(last)},
-                        tuple(items[:idx] + items[idx + 1 :]),
-                    )
-
-    def search(remaining):
-        if not remaining:
-            return ()
-        if remaining in failed:
-            return None
-        anchor, rest = remaining[0], remaining[1:]
-        for c1, c2 in _orientations(anchor):
-            for cycle, leftover in grow((c1,), c2, {abs(c1)}, rest):
-                tail = search(leftover)
-                if tail is not None:
-                    return (cycle,) + tail
-        failed.add(remaining)
+    found = _decompose([len(list(run)) for _p, run in groupby(element.pairs)], cycles)
+    if found is None:
         return None
-
-    cycles = search(element.pairs)
-    if cycles is None:
-        return None
-    cert = TnCertificate(rank, cycles)
+    cert = TnCertificate(element.rank, found)
     assert verify_tn_certificate(cert, element)
     return cert
 
@@ -268,10 +284,9 @@ def same_sign_offset(comp1, comp2):
     m = sum(comp1)
     if m != sum(comp2):
         return None
-    for c in range(m):
-        if offset_disjoint(comp1, comp2, c):
-            return c
-    return None
+    s1 = partial_sums(comp1)
+    s2 = {s % m for s in partial_sums(comp2)}
+    return next((c for c in range(m) if all((c + s) % m not in s2 for s in s1)), None)
 
 
 @dataclass(frozen=True)
@@ -306,62 +321,34 @@ class UCertificate:
         )
 
 
-def _pair_feasible(t1: LambdaTerm, t2: LambdaTerm, memo):
-    key = (t1, t2)
-    if key in memo:
-        return memo[key]
-    if t1.total != t2.total:
-        out = None
-    elif t1.sign != t2.sign:
-        out = UPair(t1, t2, None)
-    else:
-        c = same_sign_offset(t1.composition, t2.composition)
-        out = UPair(t1, t2, c) if c is not None else None
-    memo[key] = out
-    return out
-
-
-def u_membership(multiset: LambdaMultiset, cap=DEFAULT_TERM_CAP) -> Optional[UCertificate]:
+def u_membership(multiset: LambdaMultiset) -> Optional[UCertificate]:
     """Perfect matching of the terms into U generators, or exhaustive None."""
-    if len(multiset) > cap:
-        raise ResourceCapExceeded("multiset has %d terms > cap %d" % (len(multiset), cap))
-    if len(multiset) % 2:
-        return None
-    types = sorted(set(multiset.terms), key=LambdaTerm.sort_key)
-    counts = [0] * len(types)
-    index = {t: i for i, t in enumerate(types)}
-    for t in multiset.terms:
-        counts[index[t]] += 1
-    feas_memo: dict = {}
-    failed = set()
-
-    def search(counts):
-        key = tuple(counts)
-        if key in failed:
+    if len(multiset) > DEFAULT_TERM_CAP:
+        raise ResourceCapExceeded("multiset has %d terms > cap %d"
+                                  % (len(multiset), DEFAULT_TERM_CAP))
+    pairs = []
+    for _total, group in groupby(multiset.terms, key=lambda t: t.total):
+        types, counts = zip(*[(t, len(list(run))) for t, run in groupby(group)])
+        if sum(counts) % 2:
             return None
-        try:
-            first = next(i for i, c in enumerate(counts) if c)
-        except StopIteration:
-            return ()
-        for j in range(first, len(types)):
-            if counts[j] == 0 or (j == first and counts[first] < 2):
-                continue
-            pair = _pair_feasible(types[first], types[j], feas_memo)
-            if pair is None:
-                continue
-            nxt = list(counts)
-            nxt[first] -= 1
-            nxt[j] -= 1
-            tail = search(nxt)
-            if tail is not None:
-                return (pair,) + tail
-        failed.add(key)
-        return None
+        partners = [[] for _t in types]
+        for k, j in combinations_with_replacement(range(len(types)), 2):
+            a, b = types[k], types[j]
+            if a.sign != b.sign:
+                partners[k].append((j, UPair(a, b, None)))
+            elif (offset := same_sign_offset(a.composition, b.composition)) is not None:
+                partners[k].append((j, UPair(a, b, offset)))
 
-    result = search(counts)
-    if result is None:
-        return None
-    cert = UCertificate(result)
+        def moves(k, counts):
+            for j, pair in partners[k]:
+                if counts[j] > (j == k):
+                    yield (k, j), pair
+
+        found = _decompose(counts, moves)
+        if found is None:
+            return None
+        pairs.extend(found)
+    cert = UCertificate(tuple(pairs))
     assert cert.verify_against(multiset)
     return cert
 
@@ -522,8 +509,6 @@ def is_simple_height_one(w: CyclicWord):
     if len({1 if q > 0 else -1 for q in qs}) != 1:
         return None
     shape = HeightOneShape(tuple(ps), tuple(qs), 0)
-    from .words import rotation_offset
-
     offset = rotation_offset(shape.layout_letters(), w.letters)
     if offset is None:
         return None

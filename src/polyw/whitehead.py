@@ -107,25 +107,25 @@ def signed_letters(rank):
     return out
 
 
-def all_first_kind_moves(rank, include_identity=False):
+def all_first_kind_moves(rank):
     moves = []
     for perm in itertools.permutations(range(1, rank + 1)):
         for signs in itertools.product((1, -1), repeat=rank):
             images = tuple(s * p for s, p in zip(signs, perm))
-            if not include_identity and images == tuple(range(1, rank + 1)):
+            if images == tuple(range(1, rank + 1)):
                 continue
             moves.append(FirstKindMove(images))
     moves.sort(key=FirstKindMove.sort_key)
     return moves
 
 
-def all_second_kind_moves(rank, include_identity=False):
+def all_second_kind_moves(rank):
     moves = []
     for a in signed_letters(rank):
         rest = [x for x in signed_letters(rank) if x != a and x != -a]
         for mask in range(1 << len(rest)):
             members = frozenset([a] + [x for i, x in enumerate(rest) if mask >> i & 1])
-            if not include_identity and len(members) == 1:
+            if len(members) == 1:
                 continue
             moves.append(SecondKindMove(a, members))
     moves.sort(key=SecondKindMove.sort_key)

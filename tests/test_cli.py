@@ -112,6 +112,25 @@ def test_rho_member_exit_codes():
     assert run_cli("rho", "a^2 b^2 c^3 b^-3").returncode == 1
 
 
+def test_rho_over_the_pair_cap_exit_two():
+    # 600 syllables: 600 junction pairs, over the 512-pair cap
+    proc = run_cli("rho", "a^2 b^2 c^2 " * 199 + "a^3 b^2 c^2")
+    assert proc.returncode == 2
+    data = json.loads(proc.stdout)
+    assert data["status"] == "inconclusive"
+    assert data["reason"] == "element has 600 pairs > cap 512"
+
+
+def test_check_height_one_over_the_term_cap_exit_two():
+    # the paper's height-one example: its boundary invariant has 4020 terms
+    word = "a^2 (a^3)^b a^3 (a^2)^b a (a^5)^b a^4 (a)^b"
+    proc = run_cli("check", word, "--strategy", "height-one")
+    assert proc.returncode == 2
+    data = json.loads(proc.stdout)
+    assert data["status"] == "inconclusive"
+    assert data["result"] == {"reason": "multiset has 4020 terms > cap 2048"}
+
+
 def test_minimize_output():
     proc = run_cli("minimize", "a b a b^2 a b^3")
     assert proc.returncode == 0

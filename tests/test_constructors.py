@@ -231,17 +231,11 @@ def test_height_one_not_applicable():
 
 
 def test_height_one_d_override_safety():
-    # any multiple of the chain permutation's order certifies
-    w = cyclic_word("a (a^2)^b")
-    base = construct_height_one(w)
-    d0 = base.construction["d"]
-    for d in (d0, 2 * d0):
-        out = construct_height_one(w, d=d)
-        assert out.polygonal
-    out = construct_height_one(w, use_factorial_d=True)
+    # d is the order of the chain permutation: here one shift on the 2-run
+    # swaps the c = 2 disk copies
+    out = construct_height_one(cyclic_word("a (a^2)^b"))
     assert out.polygonal
-    with pytest.raises(ValueError):
-        construct_height_one(w, d=d0 * 2 + 1)
+    assert (out.construction["c"], out.construction["d"]) == (2, 2)
 
 
 def test_obstruction_examples():

@@ -3,9 +3,13 @@ import random
 
 import pytest
 
+import oracles
 from polyw.invariants import (
+    DEFAULT_PAIR_CAP,
+    DEFAULT_TERM_CAP,
     LambdaMultiset,
     LambdaTerm,
+    ResourceCapExceeded,
     RhoElement,
     TnCertificate,
     canonical_pair,
@@ -90,44 +94,6 @@ def test_tn_certificate_validation():
         TnCertificate(2, ((1,),))  # too short
 
 
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
-def _block_is_cycle(pairs):
-    """Oracle: some ordering and orientation chains into a closed cycle
-    with pairwise distinct generator absolute values."""
-    for perm in itertools.permutations(pairs):
-        for bits in itertools.product((0, 1), repeat=len(perm)):
-            oriented = [
-                p if b == 0 else (-p[1], -p[0]) for p, b in zip(perm, bits)
-            ]
-            if any(
-                oriented[i][1] != oriented[(i + 1) % len(oriented)][0]
-                for i in range(len(oriented))
-            ):
-                continue
-            heads = [p[0] for p in oriented]
-            if len({abs(h) for h in heads}) == len(heads):
-                return True
-    return False
-
-
-def tn_oracle(element):
-    items = list(element.pairs)
-    for part in _set_partitions(items):
-        if all(_block_is_cycle(block) for block in part):
-            return True
-    return False
-
-
 def test_tn_oracle_agreement_rank2():
     universe = sorted({canonical_pair((i, j)) for i in (1, -1, 2, -2)
                        for j in (1, -1, 2, -2) if abs(i) != abs(j)})
@@ -135,19 +101,35 @@ def test_tn_oracle_agreement_rank2():
     for size in range(0, 7):
         for combo in itertools.combinations_with_replacement(universe, size):
             element = RhoElement(2, combo)
-            assert (tn_membership(element) is not None) == tn_oracle(element), combo
+            assert (tn_membership(element) is not None) == oracles.tn_oracle(element), combo
 
 
 def test_tn_oracle_agreement_rank3_sample():
-    universe = sorted({canonical_pair((i, j))
-                       for i in (1, -1, 2, -2, 3, -3)
-                       for j in (1, -1, 2, -2, 3, -3) if abs(i) != abs(j)})
     rng = random.Random(17)
-    for _ in range(300):
-        size = rng.randint(0, 6)
-        combo = tuple(sorted(rng.choice(universe) for _ in range(size)))
-        element = RhoElement(3, combo)
-        assert (tn_membership(element) is not None) == tn_oracle(element), combo
+    for rank, samples in ((3, 300), (4, 150)):
+        letters = [s * g for g in range(1, rank + 1) for s in (1, -1)]
+        universe = sorted({canonical_pair((i, j))
+                           for i in letters for j in letters if abs(i) != abs(j)})
+        for _ in range(samples):
+            size = rng.randint(0, 6)
+            combo = tuple(sorted(rng.choice(universe) for _ in range(size)))
+            element = RhoElement(rank, combo)
+            assert (tn_membership(element) is not None) == oracles.tn_oracle(element), combo
+
+
+def test_tn_membership_at_the_pair_cap():
+    # 512 pairs: one 2-cycle and 170 3-cycles over a, b, c
+    rng = random.Random(29)
+    pairs = [(1, 2), (2, 1)]
+    while len(pairs) < DEFAULT_PAIR_CAP:
+        cycle = [g * rng.choice((1, -1)) for g in rng.sample((1, 2, 3), 3)]
+        pairs += [(cycle[k], cycle[(k + 1) % 3]) for k in range(3)]
+    element = RhoElement(3, tuple(pairs))
+    assert len(element) == DEFAULT_PAIR_CAP
+    cert = tn_membership(element)
+    assert cert is not None and verify_tn_certificate(cert, element)
+    with pytest.raises(ResourceCapExceeded):
+        tn_membership(element + RhoElement(3, ((1, 2),)))
 
 
 def test_no_isolated_rank2_always_member():
@@ -181,6 +163,17 @@ def test_u_member_doubling_example():
     assert cert is not None and cert.verify_against(L)
 
 
+def test_u_membership_at_the_term_cap():
+    # 2048 terms decompose into 1024 opposite-sign pairs, one per step of
+    # the solver's path
+    L = 1024 * M(lam("+", 1)) + 1024 * M(lam("-", 1))
+    assert len(L) == DEFAULT_TERM_CAP
+    cert = u_membership(L)
+    assert cert is not None and cert.verify_against(L)
+    with pytest.raises(ResourceCapExceeded):
+        u_membership(L + 2 * M(lam("+", 2)))
+
+
 def test_u_single_term_not_member():
     assert u_membership(M(lam("+", 1))) is None
 
@@ -205,38 +198,6 @@ def test_u_global_sign_swap_symmetry():
         assert (u_membership(L) is None) == (u_membership(flipped) is None)
 
 
-def _u_pair_ok_oracle(t1, t2):
-    m1, m2 = sum(t1.composition), sum(t2.composition)
-    if m1 != m2:
-        return False
-    if t1.sign != t2.sign:
-        return True
-    sums = lambda comp: {sum(comp[: k + 1]) % m1 for k in range(len(comp))}
-    s1, s2 = sums(t1.composition), sums(t2.composition)
-    return any(not ({(c + x) % m1 for x in s1} & s2) for c in range(m1))
-
-
-def _matchings(indices):
-    if not indices:
-        yield []
-        return
-    first = indices[0]
-    for k in range(1, len(indices)):
-        rest = indices[1:k] + indices[k + 1 :]
-        for m in _matchings(rest):
-            yield [(first, indices[k])] + m
-
-
-def u_oracle(L):
-    if len(L) % 2:
-        return False
-    terms = list(L.terms)
-    for matching in _matchings(list(range(len(terms)))):
-        if all(_u_pair_ok_oracle(terms[i], terms[j]) for i, j in matching):
-            return True
-    return False
-
-
 def test_u_oracle_agreement():
     universe = [
         lam("+", 1), lam("-", 1), lam("+", 2), lam("-", 2),
@@ -252,7 +213,7 @@ def test_u_oracle_agreement():
             continue
         seen.add(combo)
         L = LambdaMultiset(combo)
-        assert (u_membership(L) is not None) == u_oracle(L), combo
+        assert (u_membership(L) is not None) == oracles.u_oracle(L), combo
 
 
 # --- shortcut -------------------------------------------------------------------

@@ -143,6 +143,7 @@ def test_prescreen_agrees_when_it_fires():
 
 
 def test_move_inventories():
-    assert len(all_first_kind_moves(2, include_identity=True)) == 8
-    # 4 multipliers, each with 2^2 subsets of the other letters
-    assert len(all_second_kind_moves(2, include_identity=True)) == 16
+    assert len(all_first_kind_moves(2)) == 7
+    # 4 multipliers, each with the 2^2 subsets of the other letters but
+    # the empty one, which gives the identity
+    assert len(all_second_kind_moves(2)) == 12
