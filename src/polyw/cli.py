@@ -2,19 +2,18 @@
 
 Exit codes are stable: 0 affirmative, 1 negative with evidence,
 2 inconclusive / exhausted / not-applicable, 3 usage or parse error.
-POLYW_SEED supplies a default seed for sampling commands.
+Every command runs on the standard library alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from . import covers, cyclecover, search, whitehead
+from . import covers, cyclecover, search, stats, whitehead
 from .complexes import PolygonalityCertificate, proper_power_certificate
 from .constructors import (
     NotApplicableError,
@@ -80,7 +79,6 @@ def _bounds(args, w):
             max_disks=args.max_disks,
             max_edges=args.max_edges,
             max_power=args.powers,
-            allow_negative_powers=args.allow_negative_powers,
             time_budget=args.time_budget,
         )
         bounds.edge_limit(len(w))
@@ -267,12 +265,11 @@ def cmd_cover(args):
 
 
 def cmd_stats(args):
-    from . import stats  # here: its numpy costs 19 MB and most of the start-up time
-
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("POLYW_SEED", "0"))
-    report = stats.run_trials(args.length, args.samples, seed)
+    try:
+        report = stats.run_trials(args.length, args.samples, args.seed)
+    except ValueError as err:
+        print("bad stats arguments: %s" % err, file=sys.stderr)
+        return EXIT_USAGE
     if args.format == "csv":
         _write(report.csv_header() + "\n" + report.to_csv_row(), args.out)
     else:
@@ -307,7 +304,6 @@ def _add_search_args(p):
     p.add_argument("--max-disks", type=int, default=2)
     p.add_argument("--max-edges", type=int, default=0, help="cap on total boundary edges")
     p.add_argument("--powers", type=int, default=2, help="max disk power")
-    p.add_argument("--allow-negative-powers", action="store_true")
     p.add_argument("--time-budget", type=float, default=None, help="seconds")
     p.add_argument(
         "--jobs", type=int, default=1,
@@ -357,7 +353,7 @@ def build_parser():
     p = sub.add_parser("stats", help="random height-one word trials")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stats)

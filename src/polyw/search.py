@@ -15,7 +15,7 @@ difference is a multiple of |w| is cut: it identifies vertices separated
 by an interval reading a power of the boundary word, which forces the
 half-rotation component with chi equal to its disk count.
 
-The group G of a configuration permutes the disks of equal signed power
+The group G of a configuration permutes the disks of equal power
 and rotates each disk's base point by multiples of |w|: as w is not a
 proper power, every rotation and exchange of disks that keeps letters.
 A branch is cut once some g in G makes g(P) lexicographically smaller
@@ -51,7 +51,6 @@ class SearchBounds:
     max_disks: int = 2
     max_edges: int = 0  # 0: default to 2 * max_power * |w|
     max_power: int = 2
-    allow_negative_powers: bool = False
     time_budget: Optional[float] = None  # seconds
 
     def __post_init__(self):
@@ -89,14 +88,12 @@ class _Timeout(Exception):
 
 def power_configs(w, bounds):
     """Disk power multisets within the bounds, in canonical order."""
-    allowed = list(range(1, bounds.max_power + 1))
-    if bounds.allow_negative_powers:
-        allowed = [s * k for k in range(1, bounds.max_power + 1) for s in (1, -1)]
+    allowed = range(1, bounds.max_power + 1)
     limit = bounds.edge_limit(len(w))
     out = []
     for m in range(1, bounds.max_disks + 1):
         for combo in itertools.combinations_with_replacement(allowed, m):
-            total = sum(abs(k) for k in combo) * len(w)
+            total = sum(combo) * len(w)
             if total > limit or total % 2:
                 continue
             out.append(combo)
@@ -111,7 +108,7 @@ _CLOCK_WORK = 1 << 15
 
 def _symmetries(w, disks):
     """G as (g, g^-1) slot permutations, less the identity: disks of equal
-    signed power permuted, each base point rotated by multiples of |w|."""
+    power permuted, each base point rotated by multiples of |w|."""
     bases = list(itertools.accumulate((d.size for d in disks), initial=0))
     groups = {}
     for i, d in enumerate(disks):
@@ -119,7 +116,7 @@ def _symmetries(w, disks):
     out = []
     for perms in itertools.product(*map(itertools.permutations, groups.values())):
         target = dict(zip(itertools.chain(*groups.values()), itertools.chain(*perms)))
-        for rots in itertools.product(*(range(abs(d.power)) for d in disks)):
+        for rots in itertools.product(*(range(d.power) for d in disks)):
             g = [
                 bases[target[i]] + (p + r * len(w)) % d.size
                 for i, (d, r) in enumerate(zip(disks, rots))

@@ -3,20 +3,20 @@
 A uniform positive word x of length N over {a, b} is pushed forward by
 a -> a, b -> a^b; the resulting word is simple height-one, and its
 run-structure statistics decide the sufficient polygonality inequality
-pp' <= q^2 and qq' <= p^2.  Sampling is counter-based (one Philox stream
-per sample index), so a sample depends only on the seed and its index.
+pp' <= q^2 and qq' <= p^2.  Sample i draws its N bits from its own
+Mersenne Twister, seeded with the string "seed:i", so a sample depends
+only on the seed and its index.
 """
 
 from __future__ import annotations
 
-import json
+import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
-import numpy as np
-from numpy.random import Generator, Philox
+RNG_ALGORITHM = "python-mt19937 keyed by 'seed:index'"
 
-RNG_ALGORITHM = "numpy-philox4x64"
+_LETTERS = b"a" + b"b" * 255  # byte 0 -> a, any other -> b
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -63,50 +63,42 @@ class SampleStats:
 
 
 def stats_of_bits(bits) -> SampleStats:
-    """Statistics of the positive word with 0 = a, 1 = b."""
-    bits = np.asarray(bits, dtype=np.int8)
-    n = int(bits.size)
+    """Statistics of the positive word with 0 = a, 1 = b; ``bits`` is a
+    list of 0/1 or a bytes object."""
+    word = bytes(bits).translate(_LETTERS).decode()
+    n = len(word)
     if n < 2:
         raise ValueError("need length >= 2")
-    s = 1 + int(np.count_nonzero(np.diff(bits)))
-    p = int(np.count_nonzero(bits == 0))
+    s = 1 + word.count("ab") + word.count("ba")
+    p = word.count("a")
     q = n - p
-    word = "".join("a" if b == 0 else "b" for b in bits)
     if p == 0 or q == 0:
         return SampleStats(n, word, p, q, 0, 0, 0.5, s, True)
-    # cyclic runs: merge the wrap-around run
-    change = np.flatnonzero(np.diff(bits))
-    starts = np.concatenate(([0], change + 1))
-    lengths = np.diff(np.concatenate((starts, [n])))
-    letters = bits[starts]
-    lengths = lengths.tolist()
-    letters = letters.tolist()
-    if len(lengths) > 1 and letters[0] == letters[-1]:
-        lengths[0] += lengths.pop()
-        letters.pop()
-    a_runs = [c for c, b in zip(lengths, letters) if b == 0]
-    b_runs = [c for c, b in zip(lengths, letters) if b == 1]
-    assert len(a_runs) == len(b_runs)
+    # cyclic runs: rotate to the first letter unlike the last, so no run wraps
+    k = word.index("b" if word[-1] == "a" else "a")
+    cyclic = word[k:] + word[:k]
+    a_runs = cyclic.split("b")
     return SampleStats(
         n,
         word,
         p,
         q,
-        sum(1 for c in a_runs if c == 1),
-        sum(1 for c in b_runs if c == 1),
-        float(len(a_runs)),
+        a_runs.count("a"),
+        cyclic.split("a").count("b"),
+        float(len(a_runs) - a_runs.count("")),
         s,
         False,
     )
 
 
-def sample_height_one(n: int, rng: Generator) -> SampleStats:
+def sample_height_one(n: int, rng: random.Random) -> SampleStats:
     """One uniform positive word of length n, mapped to height one."""
-    return stats_of_bits(rng.integers(0, 2, size=n))
+    digits = format(rng.getrandbits(n), "0%db" % n)
+    return stats_of_bits(digits.encode().translate(_DIGITS))
 
 
-def _sample_rng(seed: int, index: int) -> Generator:
-    return Generator(Philox(key=seed, counter=[0, 0, 0, index]))
+def _sample_rng(seed: int, index: int) -> random.Random:
+    return random.Random("%d:%d" % (seed, index))
 
 
 @dataclass(frozen=True)
@@ -136,9 +128,6 @@ class TrialReport:
             "rng": self.algorithm,
         }
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_json_dict(), indent=indent)
-
     @staticmethod
     def csv_header():
         return "N,samples,seed,p_condition,p_fail_q,p_fail_p,mean_runs,var_runs"
@@ -159,10 +148,12 @@ class TrialReport:
 def run_trials(n: int, samples: int, seed: int) -> TrialReport:
     """Aggregate condition frequencies over counter-indexed samples.
 
-    Sample i draws from its own Philox stream keyed by (seed, i).
+    Sample i draws from its own generator, keyed by (seed, i).
     """
+    if n < 2:
+        raise ValueError("length must be at least 2")
     if samples < 1:
-        raise ValueError("samples >= 1")
+        raise ValueError("samples must be at least 1")
     cond = fail_q = fail_p = degenerate = 0
     total = 0
     total_sq = 0

@@ -200,6 +200,27 @@ def certified_pairings(w, powers):
                 yield cert
 
 
+def cyclic_run_stats(bits):
+    """(p, q, p', q', l, s) of the word with 0 = a, 1 = b, position by
+    position: a cyclic run starts at i when bits[i] differs from
+    bits[i - 1], and walking on from i gives its length.  p' and q' count
+    the a- and b-runs of length 1, l the a-runs, and s the runs of the
+    word read linearly; l is 0.5 for a word in one letter."""
+    n = len(bits)
+    p = sum(1 for b in bits if b == 0)
+    s = 1 + sum(1 for i in range(1, n) if bits[i] != bits[i - 1])
+    lengths = {0: [], 1: []}
+    for i in range(n):
+        if bits[i] != bits[i - 1]:
+            length = 1
+            while bits[(i + length) % n] == bits[i]:
+                length += 1
+            lengths[bits[i]].append(length)
+    if not lengths[0]:
+        return p, n - p, 0, 0, 0.5, s
+    return p, n - p, lengths[0].count(1), lengths[1].count(1), float(len(lengths[0])), s
+
+
 def cycle_cover_lp(w):
     """The optimum of the cycle-cover LP of w, or None if it is infeasible.
 

@@ -62,17 +62,29 @@ def test_check_cycle_cover_lp_exit_one():
     assert verify_dual(cyclic_word("aabccc"), data["result"]["dual"])
 
 
+# Runs ``polyw`` on its arguments, then prints the modules it loaded that are
+# neither in the standard library nor under ``polyw``.
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+from polyw import cli
+try:
+    cli.main(sys.argv[1:])
+except SystemExit as err:
+    print("exit", err.code)
+allowed = set(sys.stdlib_module_names) | {"polyw"}
+print(sorted(m for m in set(sys.modules) - before if m.partition(".")[0] not in allowed))
+"""
+
+
 def test_check_imports_neither_scipy_nor_numpy():
     # scipy would add about 40 MB and half a second to every `polyw` run,
-    # and numpy, which only `stats` needs, about 19 MB
-    proc = run_python(
-        "-c",
-        "import sys, polyw.cli; from polyw.words import cyclic_word; "
-        "print(polyw.cli.check_polygonal(cyclic_word('aabccc')).status, "
-        "'scipy' in sys.modules, 'numpy' in sys.modules)",
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["not-polygonal", "False", "False"]
+    # and numpy about 19 MB: `check` and `stats` load the standard library only
+    for argv, code in [(["check", "aabccc"], 1),
+                       (["stats", "--length", "30", "--samples", "20"], 0)]:
+        proc = run_python("-c", IMPORT_PROBE, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["exit %d" % code, "[]"]
 
 
 def test_check_inconclusive_exit_two():
@@ -178,7 +190,23 @@ def test_stats_csv_and_seed_env(tmp_path, monkeypatch):
         "--format", "json",
     )
     data = json.loads(proc_json.stdout)
-    assert data["rng"] == "numpy-philox4x64"
+    assert data["rng"] == "python-mt19937 keyed by 'seed:index'"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("--length", "1", "--samples", "5"), "length must be at least 2"),
+    (("--length", "10", "--samples", "0"), "samples must be at least 1"),
+])
+def test_stats_bad_size_exit_three(argv, reason):
+    proc = run_cli("stats", *argv)
+    assert proc.returncode == 3 and not proc.stdout
+    assert proc.stderr.strip() == "bad stats arguments: " + reason
+
+
+def test_stats_negative_seed_exit_zero():
+    proc = run_cli("stats", "--length", "10", "--samples", "5", "--seed", "-1")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[1].startswith("10,5,-1,")
 
 
 def test_emitted_json_roundtrips_through_library(tmp_path):

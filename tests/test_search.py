@@ -129,16 +129,6 @@ def test_decide_returns_first_certificate_of_enumeration(text):
     assert decide_polygonal(w, bounds).certificate.to_json_dict() == first.to_json_dict()
 
 
-def test_negative_powers_flag():
-    w = cyclic_word("a^2 (a^-1)^b a a^b")
-    bounds = SearchBounds(max_disks=1, max_power=2, allow_negative_powers=True)
-    configs = power_configs(w, bounds)
-    assert (-2,) in configs
-    certs = list(enumerate_all(w, bounds))
-    # the mirror surface appears with the negative power
-    assert any(c.powers == (-2,) for c in certs)
-
-
 def test_timeout_bounded_on_long_word():
     # a node of this 1200-slot search scans hundreds of candidate partners,
     # so the clock is read by work done as well as by nodes
@@ -155,10 +145,10 @@ def test_timeout_bounded_on_long_word():
 
 
 ORACLE_CASES = [
-    ("a^2 (a^-1)^b a a^b", SearchBounds(max_disks=1, max_power=2, allow_negative_powers=True)),
+    ("a^2 (a^-1)^b a a^b", SearchBounds(max_disks=1, max_power=2)),
     ("a b a^-1 b^-1", SearchBounds(max_disks=2, max_power=2)),  # reaches (2, 2)
     ("a^2 b^2", SearchBounds(max_disks=2, max_power=2)),
-    ("a b a b^-1", SearchBounds(max_disks=2, max_power=2, allow_negative_powers=True)),
+    ("a b a b^-1", SearchBounds(max_disks=2, max_power=2)),
     ("a (a^2)^b", SearchBounds(max_disks=2, max_power=2, max_edges=10)),
     ("a b c a^-1 b^-1 c^-1", SearchBounds(max_disks=1, max_power=1)),
 ]

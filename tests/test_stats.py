@@ -1,7 +1,8 @@
 import math
 
-import pytest
+from hypothesis import given, strategies
 
+from oracles import cyclic_run_stats
 from polyw.stats import (
     RNG_ALGORITHM,
     TrialReport,
@@ -40,6 +41,14 @@ def test_cyclic_run_merge():
     # a b b a: cyclically one a-run of length 2
     st = stats_of_bits([0, 1, 1, 0])
     assert st.l == 1.0 and st.p_prime == 0 and st.s == 3
+
+
+@given(strategies.lists(strategies.integers(0, 1), min_size=2, max_size=64))
+def test_stats_of_bits_matches_run_counter(bits):
+    got = stats_of_bits(bits)
+    assert got.word == "".join("ab"[b] for b in bits) and got.n == len(bits)
+    assert (got.p, got.q, got.p_prime, got.q_prime, got.l, got.s) == cyclic_run_stats(bits)
+    assert got.degenerate == (len(set(bits)) == 1)
 
 
 def test_sample_reproducible():
