@@ -29,7 +29,6 @@ from .invariants import (
     TnCertificate,
     canonical_pair,
     has_no_isolated_generators,
-    height_one_inequality,
     is_simple_height_one,
     isolated_b_sign_condition,
     junction_pairs,
@@ -368,7 +367,7 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
     shape = is_simple_height_one(w)
     if shape is None:
         raise NotApplicableError("not a simple height-one word")
-    if not height_one_inequality(w):
+    if not shape.inequality():
         raise NotApplicableError("inequality pp' <= q^2, qq' <= p^2 fails")
     if is_proper_power(w):
         return proper_power_certificate(w)
@@ -394,7 +393,6 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
     q_abs = [abs(x) for x in shape.q_exps]
     P, Q = shape.p, shape.q
     r = P * shape.p_prime - Q * shape.q_prime
-    c = lcm(*q_abs) if q_abs else 1
 
     # weight-one p-factors (indices 0-based over one w^P block of factors)
     ones = [j for j in range(P * l) if p_abs[j % l] == 1]
@@ -411,6 +409,8 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
         remaining -= take
     if remaining:
         raise ConstructionError("cannot distribute %d chain shifts" % remaining)
+    # copies of the disk blocks: only the targeted q-runs enter the permutation
+    c = lcm(*(q_abs[j] for j in range(l) if x[j]))
     targets = [j for j in range(l) for _ in range(x[j])]
     sigma = dict(zip(A, targets))
 

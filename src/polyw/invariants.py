@@ -461,6 +461,10 @@ class HeightOneShape:
     def q_prime(self):
         return sum(1 for x in self.q_exps if abs(x) == 1)
 
+    def inequality(self):
+        """pp' <= q^2 and qq' <= p^2."""
+        return self.p * self.p_prime <= self.q ** 2 and self.q * self.q_prime <= self.p ** 2
+
     def layout_letters(self):
         letters = []
         for p, q in zip(self.p_exps, self.q_exps):
@@ -518,7 +522,4 @@ def is_simple_height_one(w: CyclicWord):
 def height_one_inequality(w: CyclicWord):
     """pp' <= q^2 and qq' <= p^2 for simple height-one words; None otherwise."""
     shape = is_simple_height_one(w)
-    if shape is None:
-        return None
-    return (shape.p * shape.p_prime <= shape.q ** 2
-            and shape.q * shape.q_prime <= shape.p ** 2)
+    return None if shape is None else shape.inequality()

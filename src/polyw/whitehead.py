@@ -273,26 +273,23 @@ def cut_vertex_prescreen(w):
     return True
 
 
-def is_diskbusting(w, cap=DEFAULT_ORBIT_CAP):
-    """Whether {w} lies in no proper free factor.
+def free_factor_witness(w):
+    """The minimization trace of w when it ends in a word that omits a
+    generator, so that w lies in a proper free factor; None otherwise.
 
-    Criterion: after Whitehead minimization, no word in the minimal orbit
-    omits a generator.  By Whitehead's cut-vertex lemma (Stallings,
-    *Whitehead graphs on handlebodies*, 1999; Heusener-Weidmann, 2019) a
-    word in a proper free factor has a disconnected Whitehead graph or one
-    with a cut vertex, so when ``cut_vertex_prescreen`` holds on the
-    minimized word the answer is True and the orbit is not enumerated.
-    Rank 1 is False by convention.
+    By Whitehead's cut-vertex lemma (Stallings, *Whitehead graphs on
+    handlebodies*, 1999; Heusener-Weidmann, 2019) a word in a proper free
+    factor has a disconnected Whitehead graph or one with a cut vertex.
+    A minimized word with full support has neither: a cut vertex v, or a
+    component missing some letter's inverse, would give a strictly
+    shortening move (A = v plus a component of G - v that misses v^-1).
+    So ``cut_vertex_prescreen`` holds on it, and no orbit is enumerated.
     """
-    if w.rank == 1:
-        return False
-    final = minimize(w).final
-    if len(final.support()) < w.rank:
-        return False
-    if cut_vertex_prescreen(final):
-        return True
-    full = frozenset(range(1, w.rank + 1))
-    for member in minimal_orbit(final, cap=cap):
-        if member.support() != full:
-            return False
-    return True
+    trace = minimize(w)
+    return trace if len(trace.final.support()) < w.rank else None
+
+
+def is_diskbusting(w):
+    """Whether {w} lies in no proper free factor; rank 1 is False by
+    convention."""
+    return w.rank > 1 and free_factor_witness(w) is None

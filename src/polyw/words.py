@@ -191,88 +191,82 @@ def parse_word(text, rank=None):
     >>> parse_word("(a^2)^b", 2).letters
     (-2, 1, 1, 2)
     """
-    src = text
+    src, n = text, len(text)
     pos = 0
 
-    def skip_ws():
-        nonlocal pos
-        while pos < len(src) and src[pos].isspace():
+    def skip_ws(pos):
+        while pos < n and src[pos].isspace():
             pos += 1
+        return pos
 
-    def peek():
-        skip_ws()
-        return src[pos] if pos < len(src) else ""
-
-    def parse_int():
-        nonlocal pos
-        skip_ws()
+    def parse_int(pos):
         start = pos
-        if pos < len(src) and src[pos] in "+-":
+        if src[pos] in "+-":
             pos += 1
         digits = pos
-        while pos < len(src) and src[pos].isdigit():
+        while pos < n and src[pos].isdecimal():
             pos += 1
         if pos == digits:
             raise WordSyntaxError("expected an integer exponent", start)
         value = int(src[start:pos])
         if value == 0:
             raise WordSyntaxError("exponent must be nonzero", start)
-        return value
+        return value, pos
 
-    def parse_atom():
-        nonlocal pos
-        skip_ws()
-        if pos >= len(src):
+    # One frame per open "(": the enclosing word's letters so far, the
+    # position of the "(", and the base the group conjugates (None when
+    # the group is itself a base).
+    stack = []
+    out = []  # letters of the innermost open word
+    conj_of = None  # the base whose conjugating atom is read next
+    while True:
+        # read an atom: a letter, or open a group and read its first atom
+        pos = skip_ws(pos)
+        if pos >= n:
             raise WordSyntaxError("unexpected end of input", pos)
         ch = src[pos]
         if ch == "(":
-            open_pos = pos
+            stack.append((out, pos, conj_of))
+            out, conj_of = [], None
             pos += 1
-            inner = parse_expr()
-            if peek() != ")":
-                raise WordSyntaxError("unbalanced '('", open_pos)
-            pos += 1
-            return inner
+            continue
         if ch in string.ascii_lowercase:
-            pos += 1
-            return [ord(ch) - ord("a") + 1]
-        if ch in string.ascii_uppercase:
-            pos += 1
-            return [-(ord(ch) - ord("A") + 1)]
-        raise WordSyntaxError("unexpected character %r" % ch, pos)
-
-    def parse_term():
-        nonlocal pos
-        base = parse_atom()
-        if peek() == "^":
-            pos += 1
-            skip_ws()
-            if pos < len(src) and (src[pos].isdigit() or src[pos] in "+-"):
-                e = parse_int()
-                if e > 0:
-                    return base * e
-                return list(inverse_letters(base)) * (-e)
-            conj = parse_atom()
-            return list(inverse_letters(conj)) + base + conj
-        return base
-
-    def parse_expr():
-        out = parse_term()
+            atom = [ord(ch) - ord("a") + 1]
+        elif ch in string.ascii_uppercase:
+            atom = [-(ord(ch) - ord("A") + 1)]
+        else:
+            raise WordSyntaxError("unexpected character %r" % ch, pos)
+        pos += 1
+        # finish terms and close groups until another atom must be read
         while True:
-            c = peek()
-            if c == "" or c == ")":
-                return out
-            out += parse_term()
-
-    letters = parse_expr()
-    if pos < len(src):
-        raise WordSyntaxError("trailing input", pos)
-    if not letters:
-        raise WordSyntaxError("empty word", 0)
-    inferred = max(abs(x) for x in letters)
-    if rank is None:
-        rank = inferred
-    return Word(rank, tuple(letters))
+            if conj_of is not None:
+                out += list(inverse_letters(atom)) + conj_of + atom
+                conj_of = None
+            else:
+                pos = skip_ws(pos)
+                if pos < n and src[pos] == "^":
+                    pos = skip_ws(pos + 1)
+                    if pos < n and (src[pos].isdecimal() or src[pos] in "+-"):
+                        e, pos = parse_int(pos)
+                        out += atom * e if e > 0 else list(inverse_letters(atom)) * -e
+                    else:
+                        conj_of = atom
+                        break
+                else:
+                    out += atom
+            pos = skip_ws(pos)
+            if pos < n and src[pos] == ")" and stack:
+                atom = out
+                out, _open, conj_of = stack.pop()
+                pos += 1
+                continue
+            if pos >= n:
+                if stack:
+                    raise WordSyntaxError("unbalanced '('", stack[-1][1])
+                return Word(max(abs(x) for x in out) if rank is None else rank, tuple(out))
+            if src[pos] == ")":
+                raise WordSyntaxError("trailing input", pos)
+            break
 
 
 def cyclic_reduce(w):

@@ -200,6 +200,110 @@ def certified_pairings(w, powers):
                 yield cert
 
 
+def parse_letters_recursive(text):
+    """The letters of word text, by recursive descent over the grammar
+    ``word := term+ ; term := atom ("^" (int | atom))? ;
+    atom := letter | "(" word ")"``; malformed text raises
+    ``WordSyntaxError`` with the message and position ``parse_word`` gives.
+    Its recursion depth grows with the nesting of the text."""
+    import string
+
+    from polyw.words import WordSyntaxError
+
+    src = text
+    pos = 0
+
+    def inverse(letters):
+        return [-x for x in reversed(letters)]
+
+    def skip_ws():
+        nonlocal pos
+        while pos < len(src) and src[pos].isspace():
+            pos += 1
+
+    def peek():
+        skip_ws()
+        return src[pos] if pos < len(src) else ""
+
+    def parse_int():
+        nonlocal pos
+        skip_ws()
+        start = pos
+        if pos < len(src) and src[pos] in "+-":
+            pos += 1
+        digits = pos
+        while pos < len(src) and src[pos].isdigit():
+            pos += 1
+        if pos == digits:
+            raise WordSyntaxError("expected an integer exponent", start)
+        value = int(src[start:pos])
+        if value == 0:
+            raise WordSyntaxError("exponent must be nonzero", start)
+        return value
+
+    def parse_atom():
+        nonlocal pos
+        skip_ws()
+        if pos >= len(src):
+            raise WordSyntaxError("unexpected end of input", pos)
+        ch = src[pos]
+        if ch == "(":
+            open_pos = pos
+            pos += 1
+            inner = parse_expr()
+            if peek() != ")":
+                raise WordSyntaxError("unbalanced '('", open_pos)
+            pos += 1
+            return inner
+        if ch in string.ascii_lowercase:
+            pos += 1
+            return [ord(ch) - ord("a") + 1]
+        if ch in string.ascii_uppercase:
+            pos += 1
+            return [-(ord(ch) - ord("A") + 1)]
+        raise WordSyntaxError("unexpected character %r" % ch, pos)
+
+    def parse_term():
+        nonlocal pos
+        base = parse_atom()
+        if peek() == "^":
+            pos += 1
+            skip_ws()
+            if pos < len(src) and (src[pos].isdigit() or src[pos] in "+-"):
+                e = parse_int()
+                if e > 0:
+                    return base * e
+                return inverse(base) * (-e)
+            conj = parse_atom()
+            return inverse(conj) + base + conj
+        return base
+
+    def parse_expr():
+        out = parse_term()
+        while True:
+            c = peek()
+            if c == "" or c == ")":
+                return out
+            out += parse_term()
+
+    letters = parse_expr()
+    if pos < len(src):
+        raise WordSyntaxError("trailing input", pos)
+    return tuple(letters)
+
+
+def diskbusting_by_orbit(w):
+    """Whether w lies in no proper free factor, by Whitehead's criterion
+    read literally: no word of the minimal orbit of w omits a generator.
+    Rank 1 is False by convention."""
+    from polyw.whitehead import minimal_orbit, minimize
+
+    if w.rank == 1:
+        return False
+    full = frozenset(range(1, w.rank + 1))
+    return all(m.support() == full for m in minimal_orbit(minimize(w).final))
+
+
 def cyclic_run_stats(bits):
     """(p, q, p', q', l, s) of the word with 0 = a, 1 = b, position by
     position: a cyclic run starts at i when bits[i] differs from

@@ -8,7 +8,9 @@ import pytest
 import polyw
 from polyw import cli
 from polyw.cli import build_parser, check_polygonal
+from polyw.complexes import PolygonalityCertificate
 from polyw.cyclecover import verify_dual
+from polyw.whitehead import all_second_kind_moves
 from polyw.words import cyclic_word
 
 # the child interpreter imports the same polyw as this test session
@@ -134,13 +136,27 @@ def test_rho_over_the_pair_cap_exit_two():
 
 
 def test_check_height_one_over_the_term_cap_exit_two():
-    # the paper's height-one example: its boundary invariant has 4020 terms
-    word = "a^2 (a^3)^b a^3 (a^2)^b a (a^5)^b a^4 (a)^b"
+    # an 8-pair height-one word of the benchmark's ladder: its boundary
+    # invariant has 3960 terms
+    word = ("a^3 (a^-1)^b a^3 (a^-1)^b a^3 (a^-1)^b a^1 (a^-1)^b "
+            "a^2 (a^-2)^b a^1 (a^-2)^b a^3 (a^-2)^b a^2 (a^-1)^b")
     proc = run_cli("check", word, "--strategy", "height-one")
     assert proc.returncode == 2
     data = json.loads(proc.stdout)
     assert data["status"] == "inconclusive"
-    assert data["result"] == {"reason": "multiset has 4020 terms > cap 2048"}
+    assert data["result"] == {"reason": "multiset has 3960 terms > cap 2048"}
+
+
+def test_check_paper_height_one_example_exit_zero():
+    # p = 10, q = 11, p' = q' = 1: polygonal by the height-one theorem
+    word = "a^2 (a^3)^b a^3 (a^2)^b a (a^5)^b a^4 (a)^b"
+    proc = run_cli("check", word)
+    assert proc.returncode == 0
+    data = json.loads(proc.stdout)
+    assert data["status"] == "polygonal"
+    cert = PolygonalityCertificate.from_json_dict(data["result"])
+    assert cert.word == cyclic_word(word) and cert.verify()
+    assert cert.construction["strategy"] == "height-one"
 
 
 def test_minimize_output():
@@ -153,6 +169,17 @@ def test_minimize_output():
 def test_diskbusting_exit_codes():
     assert run_cli("diskbusting", "a (a^2)^b").returncode == 0
     assert run_cli("diskbusting", "a^2 b^2 c^3 b^-3").returncode == 1
+
+
+def test_diskbusting_negative_carries_its_moves():
+    proc = run_cli("diskbusting", "a b c^2 b^-1 a^-1 b a b c", "--orbit-cap", "256")
+    assert proc.returncode == 1
+    data = json.loads(proc.stdout)
+    assert data["diskbusting"] is False
+    w = cyclic_word(data["word"])
+    for move in data["evidence"]["moves"]:
+        w = next(m for m in all_second_kind_moves(3) if str(m) == move).apply(w)
+    assert str(w) == data["evidence"]["final"] and len(w.support()) < 3
 
 
 def test_cover_and_render_roundtrip(tmp_path):

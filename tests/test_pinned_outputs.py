@@ -2,8 +2,8 @@
 cannot change a certificate.
 
 Each hash is the sha256 of the command's stdout.  ``check`` runs at the
-benchmark's bounds on the paper examples (all but the one over the
-boundary-invariant cap) and on one word from each of three ladder strata:
+benchmark's bounds on the paper examples (all but the 4020-term
+height-one word) and on one word from each of three ladder strata:
 a 144-syllable T_3 word, a 12-factor isolated-b word and a 4-pair
 height-one word.  ``render`` and ``cover`` run on the torus and the
 one-disk figure certificate.
@@ -38,33 +38,33 @@ HEIGHT_ONE_4 = "a^-3 (a^1)^b a^-3 (a^1)^b a^-1 (a^2)^b a^-2 (a^2)^b"
 
 CHECK_PINS = [
     ("a^6 b^-3 c^5 b^4 c^-7", 0,
-     "9b9fac2d28f4f5882f5cb8236d637c15c494423f295258175790efe43c478dfa"),
+     "9eb106d0887bf269088b17183b7d5f1492c59c92063d8b4f870addcc27ea6730"),
     ("a^3 b^2 a^-2 b^-3", 0,
-     "bcdf38cda970de47f9493f0236869cf860c406c2ce3516c05805836a6c22d389"),
+     "0e6ad0a2fd75d038239e35d50c0e239c5545bb21573a4a67513853b9c41a05b9"),
     ("a^2 (a^3)^b", 0,
-     "0005108fa8719f5546c03fb126ac603746bee97153f40c382527314d67379d5f"),
+     "1d53caa71143526a8a9a180966866afa98dd6d1815f3a39ce5aa5345ee802463"),
     ("a (a^2)^b", 0,
-     "bedf511e92f5bdaef4cd44ac2c262c47ce5df6b41ef80ba05db198badd5035ac"),
+     "7acea6edb874cfe512280efb0543b81804e0e77507e452b1c763c76df08aebe9"),
     ("a^3 (a)^b", 0,
-     "a45d0668beb52fa0910ec1766e1ed71ec4b19cfabf6f48c56d71afcc991cd3ec"),
+     "0a34d10540c35c614449cb067c1da349c63459e192b4354ed41b7271f5eaade4"),
     ("a^2 (a^-1)^b a a^b", 0,
-     "cea1f003595e54ddfcaa864d99aed5bc8cfdeb4ed7162cc2c225731d78029c31"),
+     "665d96a5d8f4d37585201f631aefb08d7eca2428c053b6dea587ce65d28b86a6"),
     ("a b a b^2 a b^3", 1,
-     "0e27c34d6d9a583444c10ff9cd9453e8c97eeee19c375deeafcb8a53496780c0"),
-    (TN_144, 0, "eca5c9647854788326f6c3ae996177284cf102a1c7e661d99cd2da72ff0449ee"),
-    (ISOLATED_B_12, 0, "791d20c0670da31180af75819e1fe195e9045fe2796b00fc81ff5ea601c50768"),
-    (HEIGHT_ONE_4, 0, "176c572b4e278e95546b6f25f44645d25ac8373abd6b56dc27d681cd2c46ab5e"),
+     "d2b8fafaee0f9a943aa94909c88dbbf812a8cfe02a8c9e5c120c32f021e2b9a0"),
+    (TN_144, 0, "609cb3bb1af5d5319f38832cbfed5a89c6057e5f26eb5f2ae9db726065317232"),
+    (ISOLATED_B_12, 0, "23d5555daef2cd4d084a382da2240d713266a7b0ff7f1dcbf0c56d9d60809976"),
+    (HEIGHT_ONE_4, 0, "ca9bc408c1de9d6f363716b35020722b51555cbb040a1ecaad60a113509a330f"),
 ]
 
 SURFACE_PINS = [
     ("torus", ("render",), "f1d0c68eb740d4ac669334a5f2efeff0ac1368666bdb56eeda50e062b1b34922"),
     ("torus", ("render", "--cover"),
      "36cc047c73812fed62298c81c357ab0cb0fbbdde5a06cddce4321d63a0a64a00"),
-    ("torus", ("cover",), "0c6c7ec9f31da71ebbd6e0e93cc4f5043782dc7e7b20d1ad634f64f49d9fb0fb"),
+    ("torus", ("cover",), "8c45f7a9e92ef8c7f3095bdb13a660382fb4371db3de11b6ee4bf4719102141f"),
     ("figure", ("render",), "37f0c042ee4b84e06a34a353302d27b4903d1de78e6e7fe1e9b21385d9cacd02"),
     ("figure", ("render", "--cover"),
      "8d27653576133fec80e4a080e7b3a3bd14d2504144dc184b18fa60cef3f2b7ee"),
-    ("figure", ("cover",), "f6b9bea3a69ad346befe1e1b5beac3d04097628da061c8d9fb1ed95df525b5c7"),
+    ("figure", ("cover",), "db76e3967dcc0a0c6310c2a9bb2de6d4a4365667b96072370a508b9bf3f2fe52"),
 ]
 
 

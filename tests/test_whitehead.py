@@ -1,8 +1,18 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from polyw.words import CyclicWord, Relabeling, cyclic_word, transform
+from oracles import diskbusting_by_orbit
+from polyw.words import (
+    CyclicWord,
+    EmptyWordError,
+    Relabeling,
+    Word,
+    cyclic_reduce,
+    cyclic_word,
+    transform,
+)
 from polyw.whitehead import (
     OrbitCapExceeded,
     all_first_kind_moves,
@@ -126,20 +136,22 @@ def test_diskbusting_invariant_under_relabelings():
             assert is_diskbusting(transform(w, r)) == base
 
 
-def test_prescreen_agrees_when_it_fires():
-    fired = 0
-    for text in ["a (a^2)^b", "a^2 b^2", "a b a^-1 b^-1", "ab", "a^3 b^2 a^-2 b^-3",
-                 "a^2 b^2 c^3 b^-3", "a b c a^-1 b^-1 c^-1", "a^2 b c^2 b^-1 a c^-1"]:
-        w = cyclic_word(text)
-        final = minimize(w).final
-        if cut_vertex_prescreen(final):
-            fired += 1
-            # the reference check: every word of the minimal orbit keeps
-            # every generator
-            full = frozenset(range(1, w.rank + 1))
-            assert all(m.support() == full for m in minimal_orbit(final)), text
-            assert is_diskbusting(w) is True
-    assert fired >= 3
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda rank: st.tuples(
+    st.just(rank),
+    st.lists(st.integers(-rank, rank).filter(bool), min_size=1, max_size=9))))
+def test_prescreen_agrees_when_it_fires(rank_letters):
+    # a minimized word with full support passes the cut-vertex prescreen,
+    # and the answer matches the enumeration of its minimal orbit
+    rank, letters = rank_letters
+    try:
+        w = cyclic_reduce(Word(rank, tuple(letters)))
+    except EmptyWordError:
+        assume(False)
+    final = minimize(w).final
+    if len(final.support()) == rank:
+        assert cut_vertex_prescreen(final) is True, w
+    assert is_diskbusting(w) == diskbusting_by_orbit(w), w
 
 
 def test_move_inventories():

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import least_rotation
+from oracles import least_rotation, parse_letters_recursive
 from polyw.words import (
     _canonical_rotation,
     CyclicWord,
@@ -63,6 +63,56 @@ def test_parse_nested_conjugation_and_powers():
     assert parse_word("(ab)^-2", 2).letters == (-2, -1, -2, -1)
     # conjugation exponent may itself be parenthesized
     assert parse_word("a^(bc)", 3).letters == (-3, -2, 1, 2, 3)
+
+
+def test_parse_deep_nesting():
+    # no recursion depth grows with the nesting
+    assert parse_word("(" * 5000 + "a" + ")" * 5000).letters == (1,)
+    assert parse_word("(" * 5000 + "a" + ")^b" * 5000).letters[5000] == 1
+
+
+def test_parse_superscript_digit_is_a_syntax_error():
+    # "²" is a digit to str.isdigit but no integer to int()
+    with pytest.raises(WordSyntaxError) as e:
+        parse_word("a^\u00b2", 2)
+    assert e.value.position == 2
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except WordSyntaxError as err:
+        return ("error", str(err), err.position)
+
+
+# integer exponents of size one only, so nesting cannot multiply the length
+nested_texts = st.recursive(
+    st.one_of(st.text(alphabet="abAB", min_size=1, max_size=3),
+              st.sampled_from(["a^2", "B^-3", "b ^ +2"])),
+    lambda inner: st.one_of(
+        st.builds("({})".format, inner),
+        st.builds("{}^{}".format, inner, inner),
+        st.builds("({})^({})".format, inner, inner),
+        st.builds("{}^{}".format, inner, st.sampled_from(["1", "-1", "+1", "0", "", " -", "+"])),
+        st.builds("{} {}".format, inner, inner),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_texts, st.lists(st.tuples(st.integers(0, 60), st.sampled_from("()^ -2aB$")),
+                              max_size=3), st.one_of(st.none(), st.integers(0, 60)))
+def test_parse_matches_recursive_oracle(text, edits, cut):
+    # well-formed nested texts, and the same texts with characters put in or
+    # taken out or cut short, so unbalanced and misplaced tokens occur too
+    for at, ch in edits:
+        at %= len(text) + 1
+        text = text[:at] + ch + text[at:] if ch != "-" else text[:at] + text[at + 1:]
+    if cut is not None:
+        text = text[:cut % (len(text) + 1)]
+    mine = _parse_outcome(lambda t: parse_word(t, 26).letters, text)
+    assert mine == _parse_outcome(parse_letters_recursive, text), text
 
 
 def test_cyclic_reduce_conjugation_collapse():
