@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -16,6 +17,7 @@ from typing import Optional
 from . import covers, cyclecover, search, stats, whitehead
 from .complexes import PolygonalityCertificate, proper_power_certificate
 from .constructors import (
+    ConstructionError,
     NotApplicableError,
     construct_f2_no_isolated,
     construct_from_tn,
@@ -81,9 +83,16 @@ def _bounds(args, w):
 
 def _write(text, out):
     """Print the text, or write it to the file ``out``; a file that cannot
-    be written is a usage error."""
+    be written is a usage error.  A reader that closes stdout early gets
+    what it read, and the exit code stays the verdict's."""
     if not out:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # send the rest, and the flush at exit, to /dev/null
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
         with open(out, "w") as fh:
@@ -122,12 +131,13 @@ AUTO_RUNGS = ("tn", "isolated-b", "height-one")
 
 def _rung_verdict(strategy, w):
     """One constructor rung as a verdict: a certificate, not-applicable
-    outside its hypothesis, or inconclusive past a resource cap."""
+    outside its hypothesis, or inconclusive past a resource cap or when
+    the construction fails its own certification."""
     try:
         cert = RUNGS[strategy](w)
     except NotApplicableError as err:
         return Verdict("not-applicable", {"reason": str(err)})
-    except ResourceCapExceeded as err:
+    except (ResourceCapExceeded, ConstructionError) as err:
         return Verdict("inconclusive", {"reason": str(err)})
     return Verdict("polygonal", cert.to_json_dict())
 

@@ -8,14 +8,13 @@ Proper powers short-circuit to the declarative certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import lcm
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .complexes import (
     DiskSpec,
     PolygonalityCertificate,
-    SidePairing,
     SurfaceComplex,
     boundary_lambda,
     build_complex,
@@ -25,8 +24,8 @@ from .complexes import (
 )
 from .invariants import (
     HeightOneShape,
-    LambdaMultiset,
     TnCertificate,
+    _height_one_reading,
     canonical_pair,
     has_no_isolated_generators,
     is_simple_height_one,
@@ -42,7 +41,6 @@ from .words import (
     CyclicWord,
     Relabeling,
     is_proper_power,
-    syllable_decomposition,
     syllable_starts,
     transform,
 )
@@ -310,17 +308,12 @@ def _height_one_positions(shape: HeightOneShape, k: int):
     total = period * k
     alphas = []
     betas = []
-    pos = 0
+    pos = -shape.layout_offset
     for _copy in range(k):
         for p, q in zip(shape.p_exps, shape.q_exps):
             alphas.append((pos + abs(p)) % total)
             betas.append((pos + abs(p) + 1 + abs(q)) % total)
             pos += abs(p) + abs(q) + 2
-    # layout_offset satisfies canonical[u] == layout[(u + offset) % n], so a
-    # layout position x sits at canonical position (x - offset) mod total.
-    offset = shape.layout_offset
-    alphas = [(x - offset) % total for x in alphas]
-    betas = [(x - offset) % total for x in betas]
     return alphas, betas
 
 
@@ -358,11 +351,15 @@ def _perm_order(perm):
 def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
     """Simple height-one words with pp' <= q^2 and qq' <= p^2.
 
-    Builds the block of p-side and q-side disks with a consistent
-    b-side-pairing (shifting the chain pairing across disks on a chosen
-    set of weight-one factors), reads off the boundary invariant, finds a
-    monoid-U matching (doubling the block when only the doubled invariant
-    matches), and glues boundary circles pairwise per the matching.
+    The construction needs pp' >= qq'.  Otherwise w is re-read with the
+    roles of the run families exchanged (the a-runs after b^-1 lead; this
+    is b -> b^-1, see :class:`HeightOneShape`), and the result records
+    ``swapped``.  Either way it runs on w's own disks: it builds the block
+    of p-side and q-side disks with a consistent b-side-pairing (shifting
+    the chain pairing across disks on a chosen set of weight-one factors),
+    reads off the boundary invariant, finds a monoid-U matching (doubling
+    the block when only the doubled invariant matches), glues boundary
+    circles pairwise per the matching, and certifies once.
     """
     shape = is_simple_height_one(w)
     if shape is None:
@@ -371,22 +368,9 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
         raise NotApplicableError("inequality pp' <= q^2, qq' <= p^2 fails")
     if is_proper_power(w):
         return proper_power_certificate(w)
-    if shape.p * shape.p_prime < shape.q * shape.q_prime:
-        # swap the roles of the two run families: flip b, which rotates the
-        # factors so p-runs and q-runs trade places, then transport back
-        rel = Relabeling(invert=frozenset({2}))
-        from .complexes import transform_certificate
-
-        inner = construct_height_one(transform(w, rel))
-        if inner.declarative is not None:
-            raise ConstructionError("swap changed proper-power status of %s" % w)
-        out = transform_certificate(inner, rel)
-        if not out.polygonal:
-            raise ConstructionError("transported certificate failed for %s" % w)
-        out.construction = dict(inner.construction or {})
-        out.construction["swapped"] = True
-        out.u_certificate = inner.u_certificate
-        return out
+    swapped = shape.p * shape.p_prime < shape.q * shape.q_prime
+    if swapped:
+        shape = _height_one_reading(w, -1)
 
     l = shape.l
     p_abs = [abs(x) for x in shape.p_exps]
@@ -443,20 +427,26 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
     S = build_complex(disks, pairs)
     invariant = boundary_lambda(S)
     u_cert = u_membership(invariant)
-    doubled = False
-    if u_cert is None:
+    doubled = u_cert is None
+    if doubled:
         u_cert = u_membership(invariant + invariant)
         if u_cert is None:
             raise ConstructionError("doubled boundary invariant not in U for %s" % w)
-        doubled = True
-        shift = len(disks)
+    components = lambda_components(S)
+    if doubled:
+        # the block and a copy of it: the copy's circles are the block's, on
+        # disks and vertices shifted past the block's
+        shift, v_shift = len(disks), S.n_vertices
         disks = disks + disks
         pairs = pairs + [
             ((a[0] + shift, a[1]), (b[0] + shift, b[1])) for a, b in pairs
         ]
-        S = build_complex(disks, pairs)
+        components = components + [
+            replace(comp, slots=tuple((i + shift, j) for i, j in comp.slots),
+                    vertices=tuple(v + v_shift for v in comp.vertices))
+            for comp in components
+        ]
 
-    components = lambda_components(S)
     by_term = {}
     for ci, comp in enumerate(components):
         by_term.setdefault(comp.term, []).append(ci)
@@ -482,6 +472,8 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
         "shift_factors": sorted(A),
         "shift_targets": x,
     }
+    if swapped:
+        out.construction["swapped"] = True
     return out
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, groupby
 from typing import Optional, Tuple
 
-from .words import CyclicWord, rotation_offset, syllable_decomposition
+from .words import CyclicWord, syllable_decomposition, syllable_starts
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -430,11 +430,16 @@ def isolated_b_sign_condition(w: CyclicWord):
 
 @dataclass(frozen=True)
 class HeightOneShape:
-    """Parameters of a simple height-one word prod a^{p_i} (a^{q_i})^b.
+    """Parameters of a simple height-one word read as prod a^{p_i} (a^{q_i})^b.
 
     Exponents keep their signs; p, q, p', q' follow the absolute-value
-    convention.  ``layout_letters`` is the factor-aligned spelling, and
-    ``layout_offset`` the rotation taking it to canonical coordinates.
+    convention.  The layout spells the factors in order, each as its p-run,
+    a b-edge, its q-run and a b-edge; layout position x is canonical
+    position x - ``layout_offset`` (mod the disk length), so the leading
+    p-run starts at -``layout_offset``.  Either family of a-runs can play
+    the p-runs: exchanging the roles is b -> b^-1, which keeps every run
+    and every b-edge at its letter of w, so both readings index w's own
+    positions.
     """
 
     p_exps: Tuple[int, ...]
@@ -465,58 +470,49 @@ class HeightOneShape:
         """pp' <= q^2 and qq' <= p^2."""
         return self.p * self.p_prime <= self.q ** 2 and self.q * self.q_prime <= self.p ** 2
 
-    def layout_letters(self):
-        letters = []
-        for p, q in zip(self.p_exps, self.q_exps):
-            letters.extend([1 if p > 0 else -1] * abs(p))
-            letters.append(-2)
-            letters.extend([1 if q > 0 else -1] * abs(q))
-            letters.append(2)
-        return tuple(letters)
-
 
 def is_simple_height_one(w: CyclicWord):
     """Recognize w = prod a^{p_i}(a^{q_i})^b with uniform-sign p's and q's.
 
-    Returns the :class:`HeightOneShape` or None.  A q-run is an a-run
-    preceded (cyclically) by b^-1, a p-run one preceded by b.
+    Returns the :class:`HeightOneShape` or None.  A p-run is an a-run
+    preceded (cyclically) by b, a q-run one preceded by b^-1; the shape
+    leads with the first p-run in canonical order.
+    """
+    return _height_one_reading(w, 1)
+
+
+def _height_one_reading(w: CyclicWord, lead):
+    """The shape of w whose p-runs are the a-runs preceded by b^lead.
+
+    ``lead = 1`` is the reading of :func:`is_simple_height_one`; ``lead =
+    -1`` exchanges the roles of the two run families in place.
     """
     if w.rank != 2:
         return None
-    parts = syllable_decomposition(w).parts
-    if len(parts) % 2 or len(parts) < 2:
+    syl, starts = syllable_starts(w)
+    parts = syl.parts
+    if len(parts) % 2:
         return None
-    runs = []  # (preceding b exponent, a exponent) in cyclic order
-    n = len(parts)
-    a_positions = [i for i, (g, _) in enumerate(parts) if g == 1]
-    if len(a_positions) != n // 2:
+    # (preceding b exponent, a exponent, canonical start) per a-run, in order
+    runs = []
+    for i, (g, e) in enumerate(parts):
+        if g == 1:
+            be = parts[i - 1][1]
+            if abs(be) != 1:
+                return None
+            runs.append((be, e, starts[i]))
+    first = next((k for k, run in enumerate(runs) if run[0] == lead), None)
+    if first is None or len(runs) % 2:
         return None
-    for i in a_positions:
-        bg, be = parts[(i - 1) % n]
-        if bg != 2 or abs(be) != 1:
-            return None
-        runs.append((be, parts[i][1]))
-    # walk factors: a p-run follows b^{+1}, then b^{-1}, q-run, b^{+1}, ...
-    first_p = next((k for k, (be, _) in enumerate(runs) if be == 1), None)
-    if first_p is None:
+    runs = runs[first:] + runs[:first]
+    # the factors alternate: a p-run after b^lead, a q-run after b^-lead
+    if any(be != (lead if k % 2 == 0 else -lead) for k, (be, _e, _s) in enumerate(runs)):
         return None
-    runs = runs[first_p:] + runs[:first_p]
-    ps, qs = [], []
-    for k, (be, ae) in enumerate(runs):
-        if be != (1 if k % 2 == 0 else -1):
-            return None
-        (ps if k % 2 == 0 else qs).append(ae)
-    if len(ps) != len(qs):
+    ps = tuple(e for _be, e, _s in runs[0::2])
+    qs = tuple(e for _be, e, _s in runs[1::2])
+    if len({p > 0 for p in ps}) != 1 or len({q > 0 for q in qs}) != 1:
         return None
-    if len({1 if p > 0 else -1 for p in ps}) != 1:
-        return None
-    if len({1 if q > 0 else -1 for q in qs}) != 1:
-        return None
-    shape = HeightOneShape(tuple(ps), tuple(qs), 0)
-    offset = rotation_offset(shape.layout_letters(), w.letters)
-    if offset is None:
-        return None
-    return HeightOneShape(tuple(ps), tuple(qs), offset)
+    return HeightOneShape(ps, qs, -runs[0][2] % len(w))
 
 
 def height_one_inequality(w: CyclicWord):

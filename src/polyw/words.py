@@ -177,6 +177,11 @@ class CyclicWord:
         return all(x > 0 for x in self.letters)
 
 
+# The most letters a word text may expand to, far above any word the
+# constructions or the search can handle.
+MAX_WORD_LENGTH = 10 ** 6
+
+
 def parse_word(text, rank=None):
     """Parse word text into a literally expanded :class:`Word`.
 
@@ -184,7 +189,9 @@ def parse_word(text, rank=None):
     atom := letter | "(" word ")"``.  An integer exponent repeats (or
     inverts) the atom literally; an atom exponent is right-conjugation,
     ``u^v = v^-1 u v``.  Whitespace is ignored.  With ``rank=None`` the
-    rank is inferred as the largest generator mentioned.
+    rank is inferred as the largest generator mentioned.  A text that
+    would expand past ``MAX_WORD_LENGTH`` letters is a syntax error,
+    raised before the expansion is built.
 
     >>> parse_word("a^2 b^-1", 2).letters
     (1, 1, -2)
@@ -193,6 +200,7 @@ def parse_word(text, rank=None):
     """
     src, n = text, len(text)
     pos = 0
+    too_long = "word expands past %d letters" % MAX_WORD_LENGTH
 
     def skip_ws(pos):
         while pos < n and src[pos].isspace():
@@ -208,15 +216,23 @@ def parse_word(text, rank=None):
             pos += 1
         if pos == digits:
             raise WordSyntaxError("expected an integer exponent", start)
+        if len(src[digits:pos].lstrip("0")) > len(str(MAX_WORD_LENGTH)):
+            raise WordSyntaxError(too_long, start)
         value = int(src[start:pos])
         if value == 0:
             raise WordSyntaxError("exponent must be nonzero", start)
         return value, pos
 
+    def grow(size, at):
+        """Refuse to add ``size`` letters past the bound."""
+        if held + len(out) + size > MAX_WORD_LENGTH:
+            raise WordSyntaxError(too_long, at)
+
     # One frame per open "(": the enclosing word's letters so far, the
     # position of the "(", and the base the group conjugates (None when
-    # the group is itself a base).
+    # the group is itself a base).  ``held`` counts the frames' letters.
     stack = []
+    held = 0
     out = []  # letters of the innermost open word
     conj_of = None  # the base whose conjugating atom is read next
     while True:
@@ -227,6 +243,7 @@ def parse_word(text, rank=None):
         ch = src[pos]
         if ch == "(":
             stack.append((out, pos, conj_of))
+            held += len(out) + len(conj_of or ())
             out, conj_of = [], None
             pos += 1
             continue
@@ -240,6 +257,7 @@ def parse_word(text, rank=None):
         # finish terms and close groups until another atom must be read
         while True:
             if conj_of is not None:
+                grow(2 * len(atom) + len(conj_of), pos)
                 out += list(inverse_letters(atom)) + conj_of + atom
                 conj_of = None
             else:
@@ -247,17 +265,21 @@ def parse_word(text, rank=None):
                 if pos < n and src[pos] == "^":
                     pos = skip_ws(pos + 1)
                     if pos < n and (src[pos].isdecimal() or src[pos] in "+-"):
+                        at = pos
                         e, pos = parse_int(pos)
+                        grow(len(atom) * abs(e), at)
                         out += atom * e if e > 0 else list(inverse_letters(atom)) * -e
                     else:
                         conj_of = atom
                         break
                 else:
+                    grow(len(atom), pos)
                     out += atom
             pos = skip_ws(pos)
             if pos < n and src[pos] == ")" and stack:
                 atom = out
                 out, _open, conj_of = stack.pop()
+                held -= len(out) + len(conj_of or ())
                 pos += 1
                 continue
             if pos >= n:

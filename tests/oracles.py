@@ -304,6 +304,22 @@ def diskbusting_by_orbit(w):
     return all(m.support() == full for m in minimal_orbit(minimize(w).final))
 
 
+def height_one_by_transport(w):
+    """The height-one certificate by the route that exchanges the run
+    families outside the word: construct on the b-flipped word, where the
+    roles trade places, and carry the certificate and its construction
+    record back along the flip."""
+    from polyw.complexes import transform_certificate
+    from polyw.constructors import construct_height_one
+    from polyw.words import Relabeling, transform
+
+    flip = Relabeling(invert=frozenset({2}))
+    inner = construct_height_one(transform(w, flip))
+    out = transform_certificate(inner, flip)
+    out.construction = inner.construction
+    return out
+
+
 def cyclic_run_stats(bits):
     """(p, q, p', q', l, s) of the word with 0 = a, 1 = b, position by
     position: a cyclic run starts at i when bits[i] differs from

@@ -305,3 +305,50 @@ def test_unwritable_out_exit_three(tmp_path, capsys, argv):
     target = tmp_path / "missing" / "x.json"
     assert run_main(*argv, "--out", str(target)) == 3
     assert capsys.readouterr().err.startswith("error: ") and not target.exists()
+
+
+@pytest.mark.parametrize("argv", [(), ("--strategy", "height-one")])
+def test_check_construction_error_is_inconclusive(capsys, monkeypatch, argv):
+    # a constructor failing its own certification is no verified negative
+    def failing(w):
+        raise cli.ConstructionError("gluing failed certification")
+
+    monkeypatch.setattr(cli, "construct_height_one", failing)
+    assert run_main("check", "a (a^2)^b", *argv) == 2
+    out, err = capsys.readouterr()
+    data = json.loads(out)
+    assert data["status"] == "inconclusive"
+    assert data["result"] == {"reason": "gluing failed certification"}
+    assert "Traceback" not in err
+
+
+def test_check_stdout_closed_early_keeps_the_exit_code():
+    # the certificate is larger than a pipe buffer, so the write meets the
+    # closed pipe
+    path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polyw.cli", "check",
+         "a^2 (a^3)^b a^3 (a^2)^b a (a^5)^b a^4 (a)^b"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.stdout.read(10) == b'{"word": "'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 0
+    assert "Traceback" not in err and "Error" not in err
+
+
+@pytest.mark.parametrize("text", ["a^200000000", "((a^1000)^1000)^1000"])
+def test_check_oversized_expansion_is_a_parse_error(text):
+    # under a 600 MB address-space limit the literal expansion would die in
+    # a MemoryError; the bound refuses it before anything is allocated
+    limit = 600 << 20
+    proc = run_python(
+        "-c",
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (%d, %d)); "
+        "from polyw.cli import main; main(sys.argv[1:])" % (limit, limit),
+        "check", text,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("parse error: word expands past") and not proc.stdout

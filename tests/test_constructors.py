@@ -1,9 +1,12 @@
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import assert_matches_reference
+from oracles import assert_matches_reference, height_one_by_transport
 from polyw import complexes, constructors
 from polyw.complexes import DiskSpec, boundary_lambda, build_complex, certify
 from polyw.constructors import (
@@ -27,7 +30,10 @@ from polyw.invariants import (
     rho,
     tn_membership,
 )
-from polyw.words import cyclic_word
+from polyw.words import cyclic_word, is_proper_power
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import corpus  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -212,6 +218,84 @@ def test_height_one_signed_variants():
 def test_height_one_swap_branch():
     out = construct_height_one(cyclic_word("a^2 (a)^b"))
     assert out.polygonal and out.construction.get("swapped")
+
+
+# The paper's height-one words, the pinned 4-pair word and the ladder's
+# height-one words under the membership caps (its 8- and 16-pair words
+# are past them).
+HEIGHT_ONE_TEXTS = [
+    "a (a^2)^b",
+    "a^3 (a)^b",
+    "a^2 (a^3)^b",
+    "a^2 (a^3)^b a^3 (a^2)^b a (a^5)^b a^4 (a)^b",
+    "a^-3 (a^1)^b a^-3 (a^1)^b a^-1 (a^2)^b a^-2 (a^2)^b",
+] + [text for family, text in corpus.ladder_pool()
+     if family in ("height-one-1", "height-one-2", "height-one-4")]
+
+
+def assert_matches_transport(w, out):
+    """A swapped construction has the transported certificate's copy
+    counts and disk powers."""
+    ref = height_one_by_transport(w)
+    assert ref.polygonal
+    keys = ("c", "d", "doubled")
+    assert [out.construction[k] for k in keys] == [ref.construction[k] for k in keys]
+    assert out.powers == ref.powers
+
+
+@pytest.mark.parametrize("text", HEIGHT_ONE_TEXTS)
+def test_height_one_words_match_transport(text):
+    w = cyclic_word(text)
+    out = construct_height_one(w)
+    assert out.polygonal and out.verify()
+    if out.construction.get("swapped"):
+        assert_matches_transport(w, out)
+
+
+def test_height_one_words_include_swaps():
+    shapes = [is_simple_height_one(cyclic_word(text)) for text in HEIGHT_ONE_TEXTS]
+    assert sum(s.p * s.p_prime < s.q * s.q_prime for s in shapes) >= 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda l: st.tuples(
+    st.lists(st.integers(1, 3), min_size=l, max_size=l),
+    st.lists(st.integers(1, 3), min_size=l, max_size=l),
+    st.sampled_from((1, -1)), st.sampled_from((1, -1)))))
+def test_height_one_swap_matches_transport_random(drawn):
+    ps, qs, sp, sq = drawn
+    w = cyclic_word(" ".join("a^%d (a^%d)^b" % (sp * p, sq * q) for p, q in zip(ps, qs)))
+    shape = is_simple_height_one(w)
+    assume(shape.inequality() and not is_proper_power(w))
+    assume(shape.p * shape.p_prime < shape.q * shape.q_prime)
+    out = construct_height_one(w)
+    assert out.construction["swapped"] and out.polygonal and out.verify()
+    assert_matches_transport(w, out)
+
+
+@pytest.mark.parametrize("text, swapped, doubled", [
+    ("a^3 (a)^b", True, False),
+    ("a^2 (a^3)^b", False, True),
+    ("a^3 (a^1)^b a^3 (a^2)^b", True, True),
+])
+def test_height_one_builds_and_certifies_once(monkeypatch, text, swapped, doubled):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(constructors, "certify", counting("certify", certify))
+    monkeypatch.setattr(complexes, "certify", counting("certify", complexes.certify))
+    monkeypatch.setattr(constructors, "build_complex",
+                        counting("build_complex", build_complex))
+    out = construct_height_one(cyclic_word(text))
+    assert out.construction.get("swapped", False) == swapped
+    assert out.construction["doubled"] == doubled
+    assert sorted(calls) == ["build_complex", "certify"]
+    assert out.verify()
 
 
 def test_height_one_multi_factor():

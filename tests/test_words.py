@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import least_rotation, parse_letters_recursive
 from polyw.words import (
+    MAX_WORD_LENGTH,
     _canonical_rotation,
     CyclicWord,
     EmptyWordError,
@@ -296,3 +297,13 @@ def test_canonical_rotation_long_word():
     letters[-1] = 2 if letters[-2] != -2 else -2  # cyclically reduced
     w = CyclicWord(2, tuple(letters))
     assert w.letters == least_rotation(tuple(letters), letter_key)
+
+
+def test_parse_expansion_bound():
+    assert len(parse_word("a^%d" % MAX_WORD_LENGTH)) == MAX_WORD_LENGTH
+    for text in ["a^%d b" % MAX_WORD_LENGTH, "a^200000000", "((a^1000)^1000)^1000",
+                 "(a^999999)^(b^999999)", "(a^600000)" * 2, "a^" + "9" * 5000]:
+        with pytest.raises(WordSyntaxError, match="expands past"):
+            parse_word(text)
+    # leading zeros do not count toward the exponent's size
+    assert parse_word("a^" + "0" * 40 + "2").letters == (1, 1)
