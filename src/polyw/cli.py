@@ -19,21 +19,13 @@ from .complexes import PolygonalityCertificate, proper_power_certificate
 from .constructors import (
     ConstructionError,
     NotApplicableError,
-    construct_f2_no_isolated,
     construct_from_tn,
     construct_height_one,
     construct_isolated_b,
     nonpolygonality_follower_obstruction,
 )
 from .invariants import ResourceCapExceeded, has_no_isolated_generators, rho, tn_membership
-from .words import (
-    CyclicWord,
-    EmptyWordError,
-    RankExceededError,
-    WordSyntaxError,
-    cyclic_word,
-    is_proper_power,
-)
+from .words import CyclicWord, cyclic_word, is_proper_power
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -61,7 +53,7 @@ class Verdict:
 def _parse(args):
     try:
         return cyclic_word(args.word, args.rank)
-    except (WordSyntaxError, RankExceededError, EmptyWordError) as err:
+    except ValueError as err:  # bad syntax or rank, or the empty word
         print("parse error: %s" % err, file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
@@ -122,7 +114,6 @@ def _construct_tn(w):
 # constructors up when they run, so a patched module attribute is seen.
 RUNGS = {
     "tn": _construct_tn,
-    "f2": lambda w: construct_f2_no_isolated(w),
     "isolated-b": lambda w: construct_isolated_b(w),
     "height-one": lambda w: construct_height_one(w),
 }
@@ -194,14 +185,19 @@ def cmd_check(args):
     return verdict.exit_code
 
 
+def _inconclusive(w, err, out):
+    """Report the resource cap a command hit on w."""
+    _emit({"word": str(w), "status": "inconclusive", "reason": str(err)}, out)
+    return EXIT_INCONCLUSIVE
+
+
 def cmd_rho(args):
     w = _parse(args)
     element = rho(w)
     try:
         cert = tn_membership(element)
     except ResourceCapExceeded as err:
-        _emit({"word": str(w), "status": "inconclusive", "reason": str(err)}, args.out)
-        return EXIT_INCONCLUSIVE
+        return _inconclusive(w, err, args.out)
     data = {
         "word": str(w),
         "rho": ["(%d,%d)" % p for p in element.pairs],
@@ -215,7 +211,10 @@ def cmd_rho(args):
 
 def cmd_minimize(args):
     w = _parse(args)
-    trace = whitehead.minimize(w)
+    try:
+        trace = whitehead.minimize(w)
+    except ResourceCapExceeded as err:
+        return _inconclusive(w, err, args.out)
     _emit(
         {
             "start": str(trace.start),
@@ -231,7 +230,10 @@ def cmd_minimize(args):
 
 def cmd_diskbusting(args):
     w = _parse(args)
-    witness = whitehead.free_factor_witness(w)
+    try:
+        witness = whitehead.free_factor_witness(w)
+    except ResourceCapExceeded as err:
+        return _inconclusive(w, err, args.out)
     data = {"word": str(w), "diskbusting": w.rank > 1 and witness is None}
     if witness is not None:
         # the moves take w to a word in the factor of the generators it keeps
@@ -322,7 +324,7 @@ def build_parser():
     _add_word_arg(p)
     p.add_argument(
         "--strategy",
-        choices=["auto", "tn", "f2", "isolated-b", "height-one", "search"],
+        choices=["auto", "tn", "isolated-b", "height-one", "search"],
         default="auto",
     )
     _add_search_args(p)

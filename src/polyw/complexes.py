@@ -23,18 +23,20 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache, cached_property
+from typing import List, Optional, Sequence, Tuple, get_args, get_origin, get_type_hints
 
-from .invariants import LambdaMultiset, LambdaTerm, TnCertificate, UCertificate
+from .invariants import LambdaMultiset, LambdaTerm, TnCertificate, UCertificate, UPair
 from .words import (
+    MAX_WORD_LENGTH,
     CyclicWord,
     Relabeling,
     cyclic_word,
     inverse_letters,
     primitive_root,
     rotation_offset,
+    transform,
 )
 
 Slot = Tuple[int, int]
@@ -278,9 +280,6 @@ class SurfaceComplex:
             for k, comp in enumerate(comps)
         ]
 
-    def is_connected(self):
-        return len(self.connected_components()) == 1
-
     def to_dot(self, name="surface"):
         lines = ["digraph %s {" % name]
         for v in range(self.n_vertices):
@@ -333,7 +332,7 @@ def genus_report(S):
     """
     if not S.closed:
         raise ValueError("genus is reported for closed surfaces only")
-    if not S.is_connected():
+    if len(S.connected_components()) > 1:
         raise ValueError("genus is reported for connected surfaces only")
     colors = {}
     orientable = True
@@ -367,6 +366,28 @@ def genus_report(S):
             raise AssertionError("odd Euler characteristic on an orientable surface")
         return True, (2 - chi) // 2
     return False, 2 - chi
+
+
+def _same(x):
+    return x
+
+
+@cache
+def _codec(hint):
+    """(encode, decode) between a value of type ``hint`` and its JSON form,
+    read off the types: a dataclass is the dict of its fields and a tuple
+    is a list."""
+    if is_dataclass(hint):
+        types = get_type_hints(hint)
+        parts = [(f.name, *_codec(types[f.name])) for f in fields(hint)]
+        return (lambda x: {name: enc(getattr(x, name)) for name, enc, _dec in parts},
+                lambda x: hint(**{name: dec(x[name]) for name, _enc, dec in parts}))
+    if get_origin(hint) is tuple:
+        enc, dec = _codec(get_args(hint)[0])
+        if enc is _same:
+            return list, tuple
+        return (lambda x: [enc(v) for v in x], lambda x: tuple(map(dec, x)))
+    return _same, _same
 
 
 @dataclass
@@ -435,19 +456,14 @@ class PolygonalityCertificate:
         if self.construction is not None:
             data["construction"] = self.construction
         if self.tn_certificate is not None:
-            data["tn_certificate"] = {
-                "rank": self.tn_certificate.rank,
-                "cycles": [list(c) for c in self.tn_certificate.cycles],
-            }
+            data["tn_certificate"] = _codec(TnCertificate)[0](self.tn_certificate)
         if self.u_certificate is not None:
-            data["u_certificate"] = [
-                {
-                    "a": {"sign": p.a.sign, "composition": list(p.a.composition)},
-                    "b": {"sign": p.b.sign, "composition": list(p.b.composition)},
-                    "offset": p.offset,
-                }
-                for p in self.u_certificate.pairs
-            ]
+            pairs = self.u_certificate.pairs
+            # the pairs repeat a few objects: encode each once, its repeats share it
+            distinct = {id(p): p for p in pairs}
+            encode = _codec(UPair)[0]
+            plain = {k: encode(p) for k, p in distinct.items()}
+            data["u_certificate"] = [plain[id(p)] for p in pairs]
         return data
 
     def to_json(self, indent=2):
@@ -455,34 +471,18 @@ class PolygonalityCertificate:
 
     @staticmethod
     def from_json_dict(data):
-        from .invariants import UPair
-
         word = cyclic_word(data["word"], data["rank"])
         powers = tuple(d["power"] for d in data["disks"])
         pairs = [(tuple(a), tuple(b)) for a, b in data.get("pairing") or ()]
         numbers = powers + tuple(x for pair in pairs for slot in pair for x in slot)
         if any(type(x) is not int for x in numbers):
             raise ValueError("disk powers and slot indices must be integers")
+        if len(word) * sum(map(abs, powers)) > MAX_WORD_LENGTH:
+            raise ValueError("the disks hold more than %d slots" % MAX_WORD_LENGTH)
         pairing = SidePairing(pairs) if data.get("pairing") is not None else None
         verdict = data["verdict"]
-        tn = None
-        if "tn_certificate" in data:
-            tn = TnCertificate(
-                data["tn_certificate"]["rank"],
-                tuple(tuple(c) for c in data["tn_certificate"]["cycles"]),
-            )
-        u = None
-        if "u_certificate" in data:
-            u = UCertificate(
-                tuple(
-                    UPair(
-                        LambdaTerm(p["a"]["sign"], tuple(p["a"]["composition"])),
-                        LambdaTerm(p["b"]["sign"], tuple(p["b"]["composition"])),
-                        p["offset"],
-                    )
-                    for p in data["u_certificate"]
-                )
-            )
+        tn = data.get("tn_certificate")
+        u = data.get("u_certificate")
         return PolygonalityCertificate(
             word=word,
             powers=powers,
@@ -497,8 +497,8 @@ class PolygonalityCertificate:
             declarative=data.get("declarative"),
             detail=data.get("detail"),
             construction=data.get("construction"),
-            tn_certificate=tn,
-            u_certificate=u,
+            tn_certificate=None if tn is None else _codec(TnCertificate)[1](tn),
+            u_certificate=None if u is None else UCertificate(_codec(Tuple[UPair, ...])[1](u)),
         )
 
 
@@ -566,11 +566,11 @@ def proper_power_certificate(w: CyclicWord) -> PolygonalityCertificate:
     )
 
 
-def _lambda_term(sign, flags):
-    """The term of a circle: a-run lengths between its b-incident vertices."""
+def _lambda_runs(flags):
+    """A circle's b-incident a-arrow indices and the a-run length after each."""
     marked = [k for k, f in enumerate(flags) if f]
     ends = marked[1:] + [marked[0] + len(flags)]
-    return LambdaTerm(sign, tuple(b - a for a, b in zip(marked, ends)))
+    return marked, tuple(b - a for a, b in zip(marked, ends))
 
 
 @dataclass(frozen=True)
@@ -578,17 +578,16 @@ class LambdaComponent:
     """One boundary circle of a consistent b-side-pairing quotient.
 
     Slots, vertices and b-incidence flags are listed in a-arrow order:
-    vertex k is the arrow tail of slot k.
+    vertex k is the arrow tail of slot k.  The circle reads its term's
+    canonical composition from a-arrow index ``start`` on.
     """
 
     sign: int
     slots: Tuple[Slot, ...]
     vertices: Tuple[int, ...]
     flags: Tuple[bool, ...]
-
-    @property
-    def term(self):
-        return _lambda_term(self.sign, self.flags)
+    term: LambdaTerm
+    start: int
 
 
 def _lambda_circles(S: SurfaceComplex):
@@ -641,10 +640,19 @@ def lambda_components(S: SurfaceComplex):
     a label; on each circle the incident b-edges must point uniformly in
     or uniformly out, and the a-arrows must orient the circle.
     """
-    return [
-        LambdaComponent(sign, tuple(map(S._name, slots)), tuple(verts), tuple(flags))
-        for sign, slots, verts, flags in _lambda_circles(S)
-    ]
+    terms = {}  # circles repeat a few compositions many times
+    out = []
+    for sign, slots, verts, flags in _lambda_circles(S):
+        key = (sign, tuple(flags))
+        known = terms.get(key)
+        if known is None:
+            marked, runs = _lambda_runs(flags)
+            term = LambdaTerm(sign, runs)
+            first = next(i for i in range(len(runs)) if runs[i:] + runs[:i] == term.composition)
+            known = terms[key] = term, marked[first]
+        out.append(LambdaComponent(sign, tuple(map(S._name, slots)), tuple(verts),
+                                   key[1], *known))
+    return out
 
 
 def boundary_lambda(S: SurfaceComplex) -> LambdaMultiset:
@@ -656,7 +664,8 @@ def boundary_lambda(S: SurfaceComplex) -> LambdaMultiset:
     """
     # circles repeat a few compositions many times: build each term once
     circles = Counter((sign, tuple(flags)) for sign, _s, _v, flags in _lambda_circles(S))
-    terms = (t for key, k in circles.items() for t in [_lambda_term(*key)] * k)
+    terms = (t for (sign, flags), k in circles.items()
+             for t in [LambdaTerm(sign, _lambda_runs(flags)[1])] * k)
     return LambdaMultiset(tuple(terms))
 
 
@@ -667,35 +676,23 @@ def transform_certificate(cert: PolygonalityCertificate, rel: Relabeling):
     word inversion) and the slot indices follow the rotation that brings
     the image back to canonical coordinates.
     """
-    from .words import transform as transform_word
-
+    new_word = transform(cert.word, rel)
     if cert.declarative is not None:
-        new_word = transform_word(cert.word, rel)
         return proper_power_certificate(new_word)
-    new_word = transform_word(cert.word, rel)
-    slot_maps = []
+    shifts = []  # per disk: (size, offset of the image in canonical coordinates)
     for power in cert.powers:
-        old_boundary = DiskSpec(cert.word, power).boundary_letters()
-        mapped = tuple(rel.apply_letter(x) for x in old_boundary)
-        size = len(mapped)
+        mapped = tuple(map(rel.apply_letter, DiskSpec(cert.word, power).boundary_letters()))
         if rel.invert_word:
-            mapped = tuple(-mapped[size - 1 - u] for u in range(size))
-        target = DiskSpec(new_word, power).boundary_letters()
-        offset = rotation_offset(mapped, target)
+            mapped = inverse_letters(mapped)
+        offset = rotation_offset(mapped, DiskSpec(new_word, power).boundary_letters())
         if offset is None:
             raise ValueError("transformed boundary is not a rotation of the target")
+        shifts.append((len(mapped), offset))
 
-        def make(offset=offset, size=size, invert=rel.invert_word):
-            def slot_map(j):
-                if invert:
-                    j = size - 1 - j
-                return (j - offset) % size
+    def image(slot):
+        i, j = slot
+        size, offset = shifts[i]
+        return (i, ((size - 1 - j if rel.invert_word else j) - offset) % size)
 
-            return slot_map
-
-        slot_maps.append(make())
-    new_pairs = [
-        ((a[0], slot_maps[a[0]](a[1])), (b[0], slot_maps[b[0]](b[1])))
-        for a, b in cert.pairing.pairs
-    ]
+    new_pairs = [(image(a), image(b)) for a, b in cert.pairing.pairs]
     return certify(new_word, [DiskSpec(new_word, k) for k in cert.powers], new_pairs)

@@ -3,7 +3,9 @@ plus the follower obstruction to polygonality of positive words.
 
 Every constructor returns a :class:`PolygonalityCertificate` that has been
 re-checked by the certifier; the certifier is the soundness authority.
-Proper powers short-circuit to the declarative certificate.
+The rank-2, isolated-b and height-one constructors return the declarative
+certificate on a proper power; ``construct_from_tn`` raises
+:class:`NotApplicableError` on one.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .complexes import (
     lambda_components,
     proper_power_certificate,
 )
+from .covers import permutation_cycles
 from .invariants import (
     HeightOneShape,
     TnCertificate,
@@ -31,9 +34,7 @@ from .invariants import (
     is_simple_height_one,
     isolated_b_sign_condition,
     junction_pairs,
-    partial_sums,
     rho,
-    tn_membership,
     u_membership,
     verify_tn_certificate,
 )
@@ -331,23 +332,6 @@ def height_one_p_disk_pairing(shape: HeightOneShape, k: int, disk: int):
     return [((disk, betas[(j - 1) % nf]), (disk, alphas[j])) for j in range(nf)]
 
 
-def _perm_order(perm):
-    n = len(perm)
-    seen = [False] * n
-    order = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        size = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            size += 1
-            j = perm[j]
-        order = lcm(order, size)
-    return order
-
-
 def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
     """Simple height-one words with pp' <= q^2 and qq' <= p^2.
 
@@ -405,7 +389,7 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
     perm = list(range(c))
     for k0 in sorted(A):
         perm = [g_of(k0, perm[i]) for i in range(c)]
-    d = _perm_order(perm)
+    d = lcm(*(size for _v, size in permutation_cycles(perm)))
 
     disks = [DiskSpec(w, d * P) for _ in range(c)] + [
         DiskSpec(w, d * Q) for _ in range(c)
@@ -457,9 +441,10 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
         if up.offset is None:
             glue.extend(zip(ca.slots, cb.slots))
         else:
-            glue.extend(
-                _same_sign_gluing(ca, up.a.composition, cb, up.b.composition, up.offset)
-            )
+            # read from their starts, vertex s of ca meets vertex s + offset of cb
+            a = ca.slots[ca.start:] + ca.slots[:ca.start]
+            k = (cb.start + up.offset) % len(cb.slots)
+            glue.extend(zip(a, cb.slots[k:] + cb.slots[:k]))
     out = certify(w, disks, pairs + glue)
     if not out.polygonal:
         raise ConstructionError("height-one gluing failed certification: %s" % out.detail)
@@ -474,30 +459,6 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
     }
     if swapped:
         out.construction["swapped"] = True
-    return out
-
-
-def _align_rotation(flags, composition):
-    """Rotation rho with flags[(s + rho) % m] true exactly on the partial sums."""
-    m = len(flags)
-    sums = {s % m for s in partial_sums(composition)}
-    for rho_ in range(m):
-        if all(flags[(s + rho_) % m] == (s in sums) for s in range(m)):
-            return rho_
-    raise ConstructionError("boundary circle does not match its composition")
-
-
-def _same_sign_gluing(ca, comp_a, cb, comp_b, offset):
-    """Identify two same-sign circles with the witness offset: after
-    aligning both to their compositions, vertex s meets vertex s+offset."""
-    m = len(ca.slots)
-    ra = _align_rotation(ca.flags, comp_a)
-    rb = _align_rotation(cb.flags, comp_b)
-    out = []
-    for s in range(m):
-        out.append(
-            (ca.slots[(s + ra) % m], cb.slots[(s + offset + rb) % m])
-        )
     return out
 
 

@@ -11,7 +11,7 @@ elevation per orbit of the deck translation v -> v.w.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .complexes import PolygonalityCertificate, SurfaceComplex
 from .words import CyclicWord
@@ -119,6 +119,23 @@ def stallings_complete(g: LabeledGraph) -> CoverGraph:
     return CoverGraph(g.rank, tuple(perms))
 
 
+def permutation_cycles(perm):
+    """(least element, length) per cycle of a permutation of 0..n-1, by
+    least element."""
+    seen = [False] * len(perm)
+    out = []
+    for v in range(len(perm)):
+        size = 0
+        u = v
+        while not seen[u]:
+            seen[u] = True
+            size += 1
+            u = perm[u]
+        if size:
+            out.append((v, size))
+    return out
+
+
 @dataclass(frozen=True)
 class Elevation:
     representative: int
@@ -149,19 +166,8 @@ def elevations(cover: CoverGraph, w: CyclicWord) -> ElevationReport:
     if w.rank != cover.rank:
         raise ValueError("rank mismatch")
     n = cover.degree
-    image = [cover.act(v, w.letters) for v in range(n)]
-    seen = [False] * n
-    out = []
-    for v in range(n):
-        if seen[v]:
-            continue
-        size = 0
-        u = v
-        while not seen[u]:
-            seen[u] = True
-            size += 1
-            u = image[u]
-        out.append(Elevation(v, size))
+    out = [Elevation(v, size)
+           for v, size in permutation_cycles([cover.act(v, w.letters) for v in range(n)])]
     assert sum(e.multiplier for e in out) == n
     return ElevationReport(n, tuple(out))
 
@@ -169,8 +175,9 @@ def elevations(cover: CoverGraph, w: CyclicWord) -> ElevationReport:
 def double_surface_report(cert: PolygonalityCertificate) -> ElevationReport:
     """Degree and doubled-surface Euler characteristic of a true certificate.
 
-    The certified 1-skeleton completes to a cover of degree = vertex count,
-    and the double of the drilled surface has chi = 2(chi - m).
+    The certificate must re-certify.  The certified 1-skeleton completes
+    to a cover of degree = vertex count, and the double of the drilled
+    surface has chi = 2(chi - m).
     """
     if not cert.polygonal:
         raise ValueError("report requires a certified-true surface")
@@ -178,6 +185,9 @@ def double_surface_report(cert: PolygonalityCertificate) -> ElevationReport:
         raise ValueError("declarative certificates carry no surface")
     S = cert.complex()
     cover = stallings_complete(graph_of_complex(S))
+    # after the build, so that a malformed surface reports its own error
+    if not cert.verify():
+        raise ValueError("the certificate does not re-certify as stated")
     report = elevations(cover, cert.word)
     chi_s0 = 2 * (S.euler_characteristic() - S.m)
     return ElevationReport(report.degree, report.elevations, chi_s0)

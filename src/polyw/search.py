@@ -56,6 +56,8 @@ class SearchBounds:
     def __post_init__(self):
         if self.max_disks < 1 or self.max_power < 1:
             raise ValueError("bounds must allow at least one disk and power")
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValueError("the time budget must be a number of seconds >= 0")
 
     def edge_limit(self, word_length):
         limit = self.max_edges or 2 * self.max_power * word_length

@@ -14,14 +14,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Tuple
 
+from .invariants import ResourceCapExceeded
 from .words import (
     CyclicWord,
-    EmptyWordError,
+    Relabeling,
     Word,
     cyclic_reduce,
-    free_reduce,
     inverse_letters,
     letter_key,
+    transform,
     word_key,
 )
 
@@ -36,24 +37,15 @@ class NotMinimalError(ValueError):
 
 DEFAULT_ORBIT_CAP = 10 ** 6
 
+# The move lists grow past use with the rank: 2r*4^(r-1) multiplier moves
+# (12276 at rank 6, 262128 at rank 8) and 2^r*r! signed permutations.
+MAX_MOVE_RANK = 6
 
-@dataclass(frozen=True)
-class FirstKindMove:
-    """Signed generator permutation: generator g maps to the letter images[g-1]."""
 
-    images: Tuple[int, ...]
-
-    def sort_key(self):
-        return (0, tuple(letter_key(x) for x in self.images))
-
-    def image_of(self, x):
-        return self.images[x - 1] if x > 0 else -self.images[-x - 1]
-
-    def apply(self, w):
-        return CyclicWord(w.rank, tuple(self.image_of(x) for x in w.letters))
-
-    def __str__(self):
-        return "perm[%s]" % ",".join(str(i) for i in self.images)
+def _check_rank(rank):
+    if rank > MAX_MOVE_RANK:
+        raise ResourceCapExceeded("rank %d is past the Whitehead move cap, rank %d"
+                                  % (rank, MAX_MOVE_RANK))
 
 
 @dataclass(frozen=True)
@@ -108,18 +100,18 @@ def signed_letters(rank):
 
 
 def all_first_kind_moves(rank):
-    moves = []
-    for perm in itertools.permutations(range(1, rank + 1)):
-        for signs in itertools.product((1, -1), repeat=rank):
-            images = tuple(s * p for s, p in zip(signs, perm))
-            if images == tuple(range(1, rank + 1)):
-                continue
-            moves.append(FirstKindMove(images))
-    moves.sort(key=FirstKindMove.sort_key)
-    return moves
+    """The signed permutations of the generators other than the identity,
+    which is listed first."""
+    _check_rank(rank)
+    return [
+        Relabeling(perm, frozenset(g for g, s in zip(perm, signs) if s < 0))
+        for perm in itertools.permutations(range(1, rank + 1))
+        for signs in itertools.product((1, -1), repeat=rank)
+    ][1:]
 
 
 def all_second_kind_moves(rank):
+    _check_rank(rank)
     moves = []
     for a in signed_letters(rank):
         rest = [x for x in signed_letters(rank) if x != a and x != -a]
@@ -190,14 +182,16 @@ def minimal_orbit(w, cap=DEFAULT_ORBIT_CAP):
     while frontier:
         nxt = []
         for word in frontier:
-            for move in itertools.chain(first, second):
+            images = [transform(word, rel) for rel in first]
+            for move in second:
                 image = move.apply(word)
                 if len(image) < target_len:
                     raise NotMinimalError(
                         "%s is not minimal: %s shortens it" % (word, move)
                     )
-                if len(image) > target_len:
-                    continue
+                if len(image) == target_len:
+                    images.append(image)
+            for image in images:
                 rep = _class_rep(image)
                 if rep not in seen:
                     if len(seen) >= cap:

@@ -9,9 +9,8 @@ corresponding lowercase one: ``"aaB"`` is a^2 b^-1.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
-from math import gcd
-from typing import Iterable, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 
 class WordSyntaxError(ValueError):
@@ -98,9 +97,6 @@ class Word:
     def __str__(self):
         return letters_to_str(self.letters) if self.letters else "<empty>"
 
-    def reduced(self):
-        return Word(self.rank, free_reduce(self.letters))
-
     def inverse(self):
         return Word(self.rank, inverse_letters(self.letters))
 
@@ -158,9 +154,6 @@ class CyclicWord:
 
     def __str__(self):
         return letters_to_str(self.letters)
-
-    def letter(self, i):
-        return self.letters[i % len(self.letters)]
 
     def rotated(self, r):
         """The raw letter tuple rotated to start at position r (not canonicalized)."""

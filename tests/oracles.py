@@ -577,10 +577,11 @@ def assert_matches_reference(S):
     """Assert that the complex S agrees exactly with ``ReferenceComplex``
     on the same disks and pairs: vertex ids, edges, boundary circles in
     order, immersion violations, chi per component, and the boundary
-    invariant's circles or its ``LambdaError``.  Returns the reference
-    lambda circles, or the error text."""
+    invariant's circles with their terms and starts, or its
+    ``LambdaError``.  Returns the reference lambda circles, or the error
+    text."""
     from polyw.complexes import LambdaError, boundary_lambda, check_immersion, lambda_components
-    from polyw.invariants import LambdaMultiset, LambdaTerm
+    from polyw.invariants import LambdaMultiset, LambdaTerm, partial_sums
 
     ref = ReferenceComplex(S.disks, S.pairing.pairs)
     assert S.n_vertices == ref.n_vertices
@@ -611,5 +612,11 @@ def assert_matches_reference(S):
         gaps = [(b - a) % len(flags) or len(flags) for a, b in zip(marked, marked[1:] + marked[:1])]
         terms.append(LambdaTerm(sign, tuple(gaps)))
     assert [c.term for c in got] == terms
+    # each circle reads its canonical composition from the least such start
+    for c, (_sign, _slots, _verts, flags) in zip(got, want):
+        m = len(flags)
+        sums = {s % m for s in partial_sums(c.term.composition)}
+        assert c.start == next(r for r in range(m)
+                               if all(flags[(s + r) % m] == (s in sums) for s in range(m)))
     assert boundary_lambda(S) == LambdaMultiset(tuple(terms))
     return want

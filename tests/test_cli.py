@@ -114,6 +114,12 @@ def test_usage_error_exit_three():
     assert proc.returncode == 3
 
 
+def test_check_has_no_f2_strategy(capsys):
+    # the tn rung certifies the rank-2 words without isolated generators
+    assert run_main("check", "a^3 b^2 a^-2 b^-3", "--strategy", "f2") == 3
+    assert run_main("check", "a^3 b^2 a^-2 b^-3", "--strategy", "tn") == 0
+
+
 @pytest.mark.parametrize("bound", [("--max-edges", "3"), ("--max-disks", "0"), ("--powers", "0")])
 def test_bad_search_bound_exit_three(bound):
     proc = run_cli("check", "aabABB", *bound)
@@ -352,3 +358,59 @@ def test_check_oversized_expansion_is_a_parse_error(text):
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("parse error: word expands past") and not proc.stdout
+
+
+@pytest.mark.parametrize("rank", ["0", "-1"])
+def test_rank_below_one_is_a_parse_error(capsys, rank):
+    assert run_main("check", "a", "--rank", rank) == 3
+    out, err = capsys.readouterr()
+    assert err == "parse error: rank must be >= 1\n" and not out
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1", "-inf"])
+def test_bad_time_budget_exit_three(capsys, budget):
+    # the tn rung settles this word, so a budget that got through would
+    # never reach a search
+    assert run_main("check", "a^2 b^2", "--time-budget=" + budget) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("bad search bounds: the time budget") and not out
+
+
+TORUS_VERDICT = {"chi": 0, "m": 1, "vertices": 1, "immersion": True, "closed": True,
+                 "polygonal": True, "components": 1}
+
+
+def test_cover_requires_the_certificate_to_recertify(tmp_path, capsys):
+    # one pair of the torus abAB dropped, the verdict kept: no closed surface
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps({"word": "abAB", "rank": 2, "disks": [{"power": 1}],
+                                "pairing": [[[0, 0], [0, 2]]], "verdict": TORUS_VERDICT}))
+    assert run_main("cover", str(path)) == 3
+    out, err = capsys.readouterr()
+    assert err == "error: the certificate does not re-certify as stated\n" and not out
+    path.write_text(json.dumps({"word": "abAB", "rank": 2, "disks": [{"power": 1}],
+                                "pairing": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]],
+                                "verdict": TORUS_VERDICT}))
+    assert run_main("cover", str(path)) == 0
+
+
+@pytest.mark.parametrize("command", [("render",), ("render", "--cover")])
+def test_oversized_certificate_is_refused(tmp_path, capsys, command):
+    # 4 * 250001 slots, just past the bound; `cover` loads it the same way
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"word": "abAB", "rank": 2, "disks": [{"power": 250001}],
+                                "pairing": [], "verdict": TORUS_VERDICT}))
+    assert run_main(command[0], str(path), *command[1:]) == 3
+    out, err = capsys.readouterr()
+    assert err == "cannot load certificate: the disks hold more than 1000000 slots\n"
+    assert not out
+
+
+@pytest.mark.parametrize("command", ["minimize", "diskbusting"])
+def test_whitehead_past_the_rank_cap_is_inconclusive(capsys, monkeypatch, command):
+    monkeypatch.setattr(cli.whitehead, "MAX_MOVE_RANK", 2)
+    assert run_main(command, "abc") == 2
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"word": "abc", "status": "inconclusive",
+                    "reason": "rank 3 is past the Whitehead move cap, rank 2"}
+    assert run_main(command, "abAB") in (0, 1)

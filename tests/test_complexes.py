@@ -21,6 +21,7 @@ from polyw.complexes import (
 from polyw.constructors import (
     construct_f2_no_isolated,
     construct_from_tn,
+    construct_height_one,
     height_one_p_disk_pairing,
     height_one_q_disk_pairing,
 )
@@ -305,3 +306,24 @@ def test_boundary_invariant_matches_reference_on_random_b_pairings():
         S = build_complex(disks, random_pairing(rng, disks, (2,), 1.0))
         valid += not isinstance(assert_matches_reference(S), str)
     assert valid >= 20
+
+
+def test_certificate_loader_bounds_the_slot_count():
+    data = {"word": "abAB", "rank": 2, "disks": [{"power": 250000}], "pairing": [],
+            "verdict": {"chi": None, "m": None, "vertices": None, "immersion": None,
+                        "closed": None, "polygonal": False}}
+    assert PolygonalityCertificate.from_json_dict(data).powers == (250000,)
+    data["disks"].append({"power": -1})
+    with pytest.raises(ValueError, match="more than 1000000 slots"):
+        PolygonalityCertificate.from_json_dict(data)
+
+
+def test_tn_and_u_certificates_roundtrip_through_json():
+    tn_word = cyclic_word("a^6 b^-3 c^5 b^4 c^-7")
+    for cert in (construct_from_tn(tn_word, tn_membership(rho(tn_word))),
+                 construct_height_one(cyclic_word("a (a^2)^b a^2 (a)^b"))):
+        data = json.loads(json.dumps(cert.to_json_dict()))
+        again = PolygonalityCertificate.from_json_dict(data)
+        assert again == cert and again.to_json_dict() == data
+    assert data["u_certificate"][0].keys() == {"a", "b", "offset"}
+    assert data["u_certificate"][0]["a"].keys() == {"sign", "composition"}

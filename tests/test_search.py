@@ -17,6 +17,13 @@ from polyw.search import (
 from polyw.words import CyclicWord, cyclic_word
 
 
+@pytest.mark.parametrize("budget", [float("nan"), -1.0, float("-inf")])
+def test_bounds_refuse_nan_and_negative_budgets(budget):
+    with pytest.raises(ValueError, match="time budget"):
+        SearchBounds(time_budget=budget)
+    assert SearchBounds(time_budget=0.0).time_budget == 0.0
+
+
 def test_power_configs_respect_parity_and_edges():
     w = cyclic_word("a b a b^2 a b^3")  # length 9
     configs = power_configs(w, SearchBounds(max_disks=2, max_edges=28, max_power=3))

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import diskbusting_by_orbit
+from polyw import whitehead
+from polyw.invariants import ResourceCapExceeded
 from polyw.words import (
     CyclicWord,
     EmptyWordError,
@@ -159,3 +161,19 @@ def test_move_inventories():
     # 4 multipliers, each with the 2^2 subsets of the other letters but
     # the empty one, which gives the identity
     assert len(all_second_kind_moves(2)) == 12
+
+
+def test_move_lists_refuse_ranks_past_the_cap(monkeypatch):
+    monkeypatch.setattr(whitehead, "MAX_MOVE_RANK", 2)
+    assert len(all_first_kind_moves(2)) == 7
+    for moves in (all_first_kind_moves, all_second_kind_moves):
+        with pytest.raises(ResourceCapExceeded, match="rank 3 is past"):
+            moves(3)
+
+
+def test_first_kind_moves_are_the_signed_permutations():
+    moves = all_first_kind_moves(2)
+    images = {tuple(rel.apply_letter(g) for g in (1, 2)) for rel in moves}
+    assert len(images) == 7 and (1, 2) not in images
+    assert images | {(1, 2)} == {(s * x, t * y) for x, y in ((1, 2), (2, 1))
+                                 for s in (1, -1) for t in (1, -1)}
