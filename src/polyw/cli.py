@@ -25,12 +25,14 @@ from .constructors import (
     nonpolygonality_follower_obstruction,
 )
 from .invariants import ResourceCapExceeded, has_no_isolated_generators, rho, tn_membership
-from .words import CyclicWord, cyclic_word, is_proper_power
+from .words import MAX_WORD_LENGTH, CyclicWord, cyclic_word, is_proper_power
 
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+# a certificate within the slot bound takes about 20 bytes of JSON per slot
+MAX_CERTIFICATE_BYTES = 32 * MAX_WORD_LENGTH
 
 
 @dataclass
@@ -245,8 +247,11 @@ def cmd_diskbusting(args):
 
 def _load_certificate(path):
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read(MAX_CERTIFICATE_BYTES + 1)
+        if len(text) > MAX_CERTIFICATE_BYTES:
+            raise ValueError("the file is longer than %d bytes" % MAX_CERTIFICATE_BYTES)
+        data = json.loads(text)
         if "status" in data and "result" in data:  # `check` output wrapper
             data = data["result"]
         return PolygonalityCertificate.from_json_dict(data)
@@ -306,7 +311,8 @@ def _add_search_args(p):
     p.add_argument("--max-disks", type=int, default=2)
     p.add_argument("--max-edges", type=int, default=0, help="cap on total boundary edges")
     p.add_argument("--powers", type=int, default=2, help="max disk power")
-    p.add_argument("--time-budget", type=float, default=None, help="seconds")
+    p.add_argument("--time-budget", type=float, default=None,
+                   help="search deadline in seconds (default: none, no deadline)")
     p.add_argument(
         "--jobs", type=int, default=1,
         help="accepted for compatibility and ignored: the search runs in one process",

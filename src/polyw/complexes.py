@@ -215,6 +215,11 @@ class SurfaceComplex:
         return [tuple((self._name(s), f) for s, f in c) for c in self._circles]
 
     @cached_property
+    def lambda_circles(self):
+        """The one walk :func:`boundary_lambda` and :func:`lambda_components` read."""
+        return _lambda_circles(self)
+
+    @cached_property
     def edges(self) -> List[Edge]:
         """One edge per free slot and per pair, in order of their least slot."""
         out = []
@@ -642,7 +647,7 @@ def lambda_components(S: SurfaceComplex):
     """
     terms = {}  # circles repeat a few compositions many times
     out = []
-    for sign, slots, verts, flags in _lambda_circles(S):
+    for sign, slots, verts, flags in S.lambda_circles:
         key = (sign, tuple(flags))
         known = terms.get(key)
         if known is None:
@@ -663,7 +668,7 @@ def boundary_lambda(S: SurfaceComplex) -> LambdaMultiset:
     between b-incident vertices, up to rotation.
     """
     # circles repeat a few compositions many times: build each term once
-    circles = Counter((sign, tuple(flags)) for sign, _s, _v, flags in _lambda_circles(S))
+    circles = Counter((sign, tuple(flags)) for sign, _s, _v, flags in S.lambda_circles)
     terms = (t for (sign, flags), k in circles.items()
              for t in [LambdaTerm(sign, _lambda_runs(flags)[1])] * k)
     return LambdaMultiset(tuple(terms))

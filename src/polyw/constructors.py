@@ -10,6 +10,7 @@ certificate on a proper power; ``construct_from_tn`` raises
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from math import lcm
 from typing import Optional, Tuple
@@ -27,8 +28,11 @@ from .complexes import (
 from .covers import permutation_cycles
 from .invariants import (
     HeightOneShape,
+    ResourceCapExceeded,
     TnCertificate,
     _height_one_reading,
+    _isolated_b_junctions,
+    _kind,
     canonical_pair,
     has_no_isolated_generators,
     is_simple_height_one,
@@ -39,9 +43,11 @@ from .invariants import (
     verify_tn_certificate,
 )
 from .words import (
+    MAX_WORD_LENGTH,
     CyclicWord,
     Relabeling,
     is_proper_power,
+    syllable_decomposition,
     syllable_starts,
     transform,
 )
@@ -70,15 +76,10 @@ def two_disk_rotation_data(w: CyclicWord):
         raise NotApplicableError("need at least two syllables")
     letters = w.letters
     n = len(letters)
-    pairs = []
-    for j in range(n):
-        if letters[j] == letters[(j + 1) % n]:
-            pairs.append(((0, j), (1, (j + 1) % n)))
-    junctions = []
-    for i, (g, e) in enumerate(syl.parts):
-        last = (starts[i] + abs(e) - 1) % n
-        nxt = starts[(i + 1) % len(syl.parts)]
-        junctions.append(((0, last), (1, nxt)))
+    pairs = [((0, j), (1, (j + 1) % n)) for j in range(n) if letters[j] == letters[(j + 1) % n]]
+    # the last slot of each syllable on the first disk, the next one's first on the second
+    junctions = [((0, (starts[i] + abs(e) - 1) % n), (1, starts[(i + 1) % len(starts)]))
+                 for i, (_g, e) in enumerate(syl.parts)]
     disks = (DiskSpec(w, 1), DiskSpec(w, 1))
     return disks, pairs, tuple(junctions)
 
@@ -110,30 +111,22 @@ def construct_from_tn(w: CyclicWord, cert: TnCertificate) -> PolygonalityCertifi
     buckets = {}
     for idx, sp in enumerate(signed):
         buckets.setdefault(canonical_pair(sp), []).append(idx)
-    # assign a junction to every cycle position, tracking orientation flips
-    assignments = []
+    glue = []
     for cycle in cert.cycles:
         r = len(cycle)
+        # a junction for every cycle position, flipped when it reads the pair backwards
         row = []
         for j in range(r):
             pair = (cycle[j], cycle[(j + 1) % r])
             idx = buckets[canonical_pair(pair)].pop(0)
-            row.append((idx, signed[idx] != pair))
-        assignments.append(row)
-    assert all(not b for b in buckets.values())
-    glue = []
-    for cycle, row in zip(cert.cycles, assignments):
-        r = len(cycle)
+            row.append((junctions[idx], signed[idx] != pair))
         for j in range(r):
-            prev_idx, prev_flip = row[(j - 1) % r]
-            cur_idx, cur_flip = row[j]
+            (p_prev, q_prev), prev_flip = row[j - 1]
+            (p_cur, q_cur), cur_flip = row[j]
             # the |c_j| edge is the second-component slot of the previous
             # junction and the first-component slot of the current one
-            p_prev, q_prev = junctions[prev_idx]
-            p_cur, q_cur = junctions[cur_idx]
-            slot_a = p_prev if prev_flip else q_prev
-            slot_b = q_cur if cur_flip else p_cur
-            glue.append((slot_a, slot_b))
+            glue.append((p_prev if prev_flip else q_prev, q_cur if cur_flip else p_cur))
+    assert all(not b for b in buckets.values())
     out = certify(w, disks, pairs + glue)
     if not out.polygonal:
         raise ConstructionError("cycle gluing failed certification: %s" % out.detail)
@@ -152,25 +145,10 @@ def sourcesink_classify(orientations) -> Tuple[int, int, int, int]:
     edges at even t).  Returns (sources, sinks, filters, pollutants).
     """
     n = len(orientations)
-    if n % 2 or n == 0:
-        raise ValueError("need an even, positive number of edges")
-    if any(h not in (1, -1) for h in orientations):
-        raise ValueError("orientations must be +-1")
-    sources = sinks = filters = pollutants = 0
-    for t in range(n):
-        prev = orientations[(t - 1) % n]
-        nxt = orientations[t]
-        if prev == -1 and nxt == 1:
-            sources += 1
-        elif prev == 1 and nxt == -1:
-            sinks += 1
-        elif prev == 1:  # both +1: incoming edge is t-1, dirty iff t even
-            filters += 1 if t % 2 == 0 else 0
-            pollutants += 1 if t % 2 == 1 else 0
-        else:  # both -1: incoming edge is t, dirty iff t odd
-            filters += 1 if t % 2 == 1 else 0
-            pollutants += 1 if t % 2 == 0 else 0
-    return sources, sinks, filters, pollutants
+    if n % 2 or n == 0 or any(h not in (1, -1) for h in orientations):
+        raise ValueError("need an even, positive number of +-1 orientations")
+    census = Counter(_kind(orientations[t - 1], orientations[t], t % 2 == 0) for t in range(n))
+    return tuple(census[kind] for kind in ("source", "sink", "filter", "pollutant"))
 
 
 def construct_f2_no_isolated(w: CyclicWord) -> PolygonalityCertificate:
@@ -188,18 +166,17 @@ def construct_f2_no_isolated(w: CyclicWord) -> PolygonalityCertificate:
         raise NotApplicableError("single-generator word")
     if is_proper_power(w):
         return proper_power_certificate(w)
-    kinds = {(1, -2): "sink", (-2, 1): "source", (-1, -2): "filter", (-2, -1): "pollutant"}
-    census = {"sink": 0, "source": 0, "filter": 0, "pollutant": 0}
-    for sp in junction_pairs(w):
-        census[kinds[canonical_pair(sp)]] += 1
-    if census["source"] != census["sink"] or census["filter"] != census["pollutant"]:
+    # the syllables alternate from an a-syllable, and the a-syllables are clean
+    sources, sinks, filters, pollutants = sourcesink_classify(
+        [1 if e > 0 else -1 for _g, e in syllable_decomposition(w).parts])
+    if sources != sinks or filters != pollutants:
         raise ConstructionError("source/sink census mismatch on %s" % w)
-    cycles = [(1, -2)] * census["sink"] + [(1, 2)] * census["pollutant"]
+    cycles = [(1, -2)] * sinks + [(1, 2)] * pollutants
     cert = construct_from_tn(w, TnCertificate(2, tuple(cycles)))
     cert.construction = {
         "strategy": "f2-no-isolated",
-        "sources": census["source"],
-        "filters": census["filter"],
+        "sources": sources,
+        "filters": filters,
     }
     return cert
 
@@ -247,36 +224,12 @@ def construct_isolated_b(w: CyclicWord) -> PolygonalityCertificate:
         return proper_power_certificate(w)
     disks, pairs, _ = two_disk_rotation_data(w)
     S = build_complex(disks, pairs)
-    comp_of_slot = {}
-    for ci, comp in enumerate(S.boundary):
-        for slot, _f in comp:
-            comp_of_slot[slot] = ci
-    syl, starts = syllable_starts(w)
-    parts = syl.parts
-    l = len(parts) // 2
-    ps = [parts[2 * i][1] for i in range(l)]
-    qs = [parts[2 * i + 1][1] for i in range(l)]
-    sign = lambda x: 1 if x > 0 else -1
-    groups = {"source": [], "sink": [], "filter": [], "pollutant": []}
-    for i in range(l):
-        r_i = (sign(ps[i]), sign(qs[i]), sign(ps[(i + 1) % l]))
-        if r_i in ((-1, 1, 1), (-1, -1, 1)):
-            kind = "source"
-        elif r_i in ((1, 1, -1), (1, -1, -1)):
-            kind = "sink"
-        elif r_i in ((1, 1, 1), (-1, -1, -1)):
-            kind = "filter"
-        else:
-            kind = "pollutant"
-        b_slot = (0, starts[2 * i + 1])
-        groups[kind].append(comp_of_slot[b_slot])
-    if len(groups["source"]) != len(groups["sink"]) or len(groups["filter"]) != len(
-        groups["pollutant"]
-    ):
-        raise ConstructionError("census mismatch on %s" % w)
-    matches = list(zip(sorted(groups["source"]), sorted(groups["sink"]))) + list(
-        zip(sorted(groups["filter"]), sorted(groups["pollutant"]))
-    )
+    circle_of = {slot: ci for ci, comp in enumerate(S.boundary) for slot, _f in comp}
+    groups = defaultdict(list)  # circles by the kind of the junction at their b
+    for kind, pos in _isolated_b_junctions(w):
+        groups[kind].append(circle_of[(0, pos)])
+    matches = [pair for a, b in (("source", "sink"), ("filter", "pollutant"))
+               for pair in zip(sorted(groups[a]), sorted(groups[b]))]
     glue = []
     for ca, cb in matches:
         seam = _reversing_gluing(S, ca, cb)
@@ -307,9 +260,7 @@ def _height_one_positions(shape: HeightOneShape, k: int):
     """
     period = sum(abs(p) + abs(q) + 2 for p, q in zip(shape.p_exps, shape.q_exps))
     total = period * k
-    alphas = []
-    betas = []
-    pos = -shape.layout_offset
+    alphas, betas, pos = [], [], -shape.layout_offset
     for _copy in range(k):
         for p, q in zip(shape.p_exps, shape.q_exps):
             alphas.append((pos + abs(p)) % total)
@@ -332,6 +283,13 @@ def height_one_p_disk_pairing(shape: HeightOneShape, k: int, disk: int):
     return [((disk, betas[(j - 1) % nf]), (disk, alphas[j])) for j in range(nf)]
 
 
+def _check_block_slots(w: CyclicWord, power: int):
+    """Refuse disks reading w^power that, doubled, hold more slots than a certificate may."""
+    if 2 * power * len(w) > MAX_WORD_LENGTH:
+        raise ResourceCapExceeded("the block needs %d slots > cap %d"
+                                  % (power * len(w), MAX_WORD_LENGTH // 2))
+
+
 def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
     """Simple height-one words with pp' <= q^2 and qq' <= p^2.
 
@@ -343,7 +301,9 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
     the chain pairing across disks on a chosen set of weight-one factors),
     reads off the boundary invariant, finds a monoid-U matching (doubling
     the block when only the doubled invariant matches), glues boundary
-    circles pairwise per the matching, and certifies once.
+    circles pairwise per the matching, and certifies once.  A block that,
+    doubled, would hold more slots than a certificate may is refused
+    before it is built, with :class:`ResourceCapExceeded`.
     """
     shape = is_simple_height_one(w)
     if shape is None:
@@ -356,29 +316,27 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
     if swapped:
         shape = _height_one_reading(w, -1)
 
-    l = shape.l
+    l = len(shape.p_exps)
     p_abs = [abs(x) for x in shape.p_exps]
     q_abs = [abs(x) for x in shape.q_exps]
     P, Q = shape.p, shape.q
     r = P * shape.p_prime - Q * shape.q_prime
 
-    # weight-one p-factors (indices 0-based over one w^P block of factors)
-    ones = [j for j in range(P * l) if p_abs[j % l] == 1]
-    assert len(ones) == P * shape.p_prime
-    A = ones[:r]
     # x_j: how many chain shifts target factor j's q-run; greedy on big runs
-    x = [0] * l
-    remaining = r
-    for j in sorted(range(l), key=lambda j: (-Q * q_abs[j], j)):
-        if q_abs[j] == 1:
-            continue
-        take = min(remaining, Q * q_abs[j])
-        x[j] = take
-        remaining -= take
+    x, remaining = [0] * l, r
+    for j in sorted(range(l), key=lambda j: (-q_abs[j], j)):
+        if q_abs[j] > 1:
+            x[j] = min(remaining, Q * q_abs[j])
+            remaining -= x[j]
     if remaining:
         raise ConstructionError("cannot distribute %d chain shifts" % remaining)
     # copies of the disk blocks: only the targeted q-runs enter the permutation
     c = lcm(*(q_abs[j] for j in range(l) if x[j]))
+    _check_block_slots(w, c * (P + Q))
+    # weight-one p-factors (indices 0-based over one w^P block of factors)
+    ones = [j for j in range(P * l) if p_abs[j % l] == 1]
+    assert len(ones) == P * shape.p_prime
+    A = ones[:r]
     targets = [j for j in range(l) for _ in range(x[j])]
     sigma = dict(zip(A, targets))
 
@@ -390,6 +348,7 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
     for k0 in sorted(A):
         perm = [g_of(k0, perm[i]) for i in range(c)]
     d = lcm(*(size for _v, size in permutation_cycles(perm)))
+    _check_block_slots(w, c * d * (P + Q))
 
     disks = [DiskSpec(w, d * P) for _ in range(c)] + [
         DiskSpec(w, d * Q) for _ in range(c)
@@ -400,10 +359,7 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
     for i in range(c):
         for j in range(nf_p):
             jm = j % (P * l)
-            if jm in sigma:
-                target = g_of(jm, i)
-            else:
-                target = i
+            target = g_of(jm, i) if jm in sigma else i
             pairs.append(((i, betas_p[(j - 1) % nf_p]), (target % c, alphas_p[j])))
     for i in range(c):
         pairs.extend(height_one_q_disk_pairing(shape, d * Q, c + i))

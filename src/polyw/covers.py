@@ -11,6 +11,7 @@ elevation per orbit of the deck translation v -> v.w.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Tuple
 
 from .complexes import PolygonalityCertificate, SurfaceComplex
@@ -75,11 +76,12 @@ class CoverGraph:
     def degree(self):
         return len(self.perms[0]) if self.perms else 1
 
+    @cached_property
+    def _inverses(self):
+        return [sorted(range(len(p)), key=p.__getitem__) for p in self.perms]
+
     def step(self, v, letter):
-        p = self.perms[abs(letter) - 1]
-        if letter > 0:
-            return p[v]
-        return p.index(v)
+        return (self.perms if letter > 0 else self._inverses)[abs(letter) - 1][v]
 
     def act(self, v, letters):
         for x in letters:

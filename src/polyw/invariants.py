@@ -388,44 +388,44 @@ def has_no_isolated_generators(w: CyclicWord) -> bool:
     return all(abs(e) > 1 for _, e in syllable_decomposition(w).parts)
 
 
-def _alternating_ab_exponents(w: CyclicWord):
-    """Exponent lists (p_i), (q_i) when w = prod a^{p_i} b^{q_i}, else None.
+def _kind(before, after, clean):
+    """The kind of a junction between runs of signs ``before`` and ``after``,
+    the edge after it ``clean`` or dirty: a source or sink where the sign
+    changes, else a filter when the flow leaves through a clean edge."""
+    if (before > 0) != (after > 0):
+        return "source" if after > 0 else "sink"
+    return "filter" if (after > 0) == clean else "pollutant"
 
-    The first returned run is the a-run the canonical rotation starts with;
-    generators other than 1, 2 disqualify.
-    """
-    if w.rank != 2:
+
+def _a_runs(w: CyclicWord):
+    """(exponent of the b before it, exponent, canonical start) per a-run of
+    w in order, when w has rank 2, both generators and single-letter
+    b-syllables; else None.  The b after run i is the b before run i+1."""
+    if w.rank != 2 or len(w.support()) < 2:
         return None
-    parts = syllable_decomposition(w).parts
-    if len(parts) < 2 or len(parts) % 2:
+    syl, starts = syllable_starts(w)
+    if any(g == 2 and abs(e) != 1 for g, e in syl.parts):
         return None
-    if parts[0][0] == 2:
-        parts = parts[1:] + parts[:1]
-    ps, qs = [], []
-    for i in range(0, len(parts), 2):
-        if parts[i][0] != 1 or parts[i + 1][0] != 2:
-            return None
-        ps.append(parts[i][1])
-        qs.append(parts[i + 1][1])
-    return tuple(ps), tuple(qs)
+    return [(syl.parts[i - 1][1], e, starts[i]) for i, (g, e) in enumerate(syl.parts) if g == 1]
+
+
+def _isolated_b_junctions(w: CyclicWord):
+    """(kind, canonical position) per b of w = prod a^{p_i} b^{q_i} with
+    |p_i| > 1, |q_i| = 1, or None: b^{q_i} joins p_i to p_{i+1}, clean if q_i > 0."""
+    runs = _a_runs(w)
+    if runs is None or any(abs(p) < 2 for _q, p, _s in runs):
+        return None
+    return [(_kind(p, p2, q > 0), (start + abs(p)) % len(w))
+            for (_q, p, start), (q, p2, _s) in zip(runs, runs[1:] + runs[:1])]
 
 
 def isolated_b_sign_condition(w: CyclicWord):
     """For w = prod a^{p_i} b^{q_i} with |p_i|>1, |q_i|=1: whether
     sum_i (sign(p_i q_i) + sign(p_{i+1} q_i)) vanishes.  None when the word
     is not of that shape."""
-    shape = _alternating_ab_exponents(w)
-    if shape is None:
-        return None
-    ps, qs = shape
-    if not all(abs(p) > 1 for p in ps) or not all(abs(q) == 1 for q in qs):
-        return None
-    l = len(ps)
-    total = 0
-    for i in range(l):
-        sign = lambda x: 1 if x > 0 else -1
-        total += sign(ps[i] * qs[i]) + sign(ps[(i + 1) % l] * qs[i])
-    return total == 0
+    kinds = [kind for kind, _pos in _isolated_b_junctions(w) or ()]
+    # term i is 0 at a source or sink, 2 at a filter and -2 at a pollutant
+    return kinds.count("filter") == kinds.count("pollutant") if kinds else None
 
 
 @dataclass(frozen=True)
@@ -445,10 +445,6 @@ class HeightOneShape:
     p_exps: Tuple[int, ...]
     q_exps: Tuple[int, ...]
     layout_offset: int
-
-    @property
-    def l(self):
-        return len(self.p_exps)
 
     @property
     def p(self):
@@ -487,20 +483,7 @@ def _height_one_reading(w: CyclicWord, lead):
     ``lead = 1`` is the reading of :func:`is_simple_height_one`; ``lead =
     -1`` exchanges the roles of the two run families in place.
     """
-    if w.rank != 2:
-        return None
-    syl, starts = syllable_starts(w)
-    parts = syl.parts
-    if len(parts) % 2:
-        return None
-    # (preceding b exponent, a exponent, canonical start) per a-run, in order
-    runs = []
-    for i, (g, e) in enumerate(parts):
-        if g == 1:
-            be = parts[i - 1][1]
-            if abs(be) != 1:
-                return None
-            runs.append((be, e, starts[i]))
+    runs = _a_runs(w) or ()
     first = next((k for k, run in enumerate(runs) if run[0] == lead), None)
     if first is None or len(runs) % 2:
         return None

@@ -38,6 +38,7 @@ in general.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -90,22 +91,34 @@ class _Timeout(Exception):
 
 def power_configs(w, bounds):
     """Disk power multisets within the bounds, in canonical order."""
-    allowed = range(1, bounds.max_power + 1)
-    limit = bounds.edge_limit(len(w))
-    out = []
-    for m in range(1, bounds.max_disks + 1):
-        for combo in itertools.combinations_with_replacement(allowed, m):
-            total = sum(combo) * len(w)
-            if total > limit or total % 2:
-                continue
-            out.append(combo)
-    return out
+    return list(_power_configs(w, bounds))
+
+
+def _power_configs(w, bounds):
+    """The multisets of :func:`power_configs` one at a time; an entry is
+    raised only while the least completion stays within the edge limit."""
+    n = len(w)
+    most = bounds.edge_limit(n) // n  # the largest power sum within the limit
+    for m in range(1, min(bounds.max_disks, most) + 1):
+        combo = [1] * m
+        while combo:
+            if sum(combo) * n % 2 == 0:
+                yield tuple(combo)
+            while combo:  # raise the last entry that can grow, the ones after it with it
+                k = combo.pop() + 1
+                if k <= bounds.max_power and sum(combo) + k * (m - len(combo)) <= most:
+                    combo += [k] * (m - len(combo))
+                    break
 
 
 # The deadline is read every _CLOCK_NODES nodes and every _CLOCK_WORK
 # candidate partners examined: one node of a long word scans hundreds.
 _CLOCK_NODES = 2048
 _CLOCK_WORK = 1 << 15
+
+# A configuration whose G holds more slot images than this is searched without
+# the cut; the module docstring says why its first certificate is the same.
+_MAX_SYMMETRY_SLOTS = 10 ** 6
 
 
 def _symmetries(w, disks):
@@ -115,6 +128,9 @@ def _symmetries(w, disks):
     groups = {}
     for i, d in enumerate(disks):
         groups.setdefault(d.power, []).append(i)
+    order = math.prod(map(math.factorial, map(len, groups.values())))
+    if order * math.prod(d.power for d in disks) * bases[-1] > _MAX_SYMMETRY_SLOTS:
+        return []  # searched without the cut
     out = []
     for perms in itertools.product(*map(itertools.permutations, groups.values())):
         target = dict(zip(itertools.chain(*groups.values()), itertools.chain(*perms)))
@@ -293,7 +309,7 @@ def _certified(w, bounds, progress):
     every node visited, the timed-out configuration's included."""
     budget = bounds.time_budget
     deadline = None if budget is None else time.monotonic() + budget
-    for powers in power_configs(w, bounds):
+    for powers in _power_configs(w, bounds):
         disks = [DiskSpec(w, k) for k in powers]
         bt = _Backtracker(w, disks, deadline)
         try:
@@ -328,8 +344,9 @@ def decide_polygonal(w: CyclicWord, bounds: SearchBounds):
 
 def enumerate_all(w: CyclicWord, bounds: SearchBounds) -> Iterator[PolygonalityCertificate]:
     """Every certified surface within bounds, one per class up to disk
-    reordering and base-point rotation, in the order decide_polygonal
-    meets them; the listing ends early, quietly, at the time budget."""
+    reordering and base-point rotation (every one, in a configuration past
+    the symmetry bound), in the order decide_polygonal meets them; the
+    listing ends early, quietly, at the time budget."""
     if is_proper_power(w):
         return
     try:

@@ -95,6 +95,16 @@ def rank2_cyclic_words(length):
             yield w
 
 
+def power_configs_by_filter(w, bounds):
+    """Every multiset of at most ``max_disks`` powers up to ``max_power``,
+    in canonical order, kept when its slot count is even and within the
+    edge limit."""
+    limit = bounds.edge_limit(len(w))
+    return [combo for m in range(1, bounds.max_disks + 1)
+            for combo in itertools.combinations_with_replacement(range(1, bounds.max_power + 1), m)
+            if sum(combo) * len(w) <= limit and sum(combo) * len(w) % 2 == 0]
+
+
 def least_rotation(letters, key):
     """The lexicographically least rotation of ``letters`` under ``key``,
     by comparing all of them."""
@@ -317,6 +327,135 @@ def height_one_by_transport(w):
     inner = construct_height_one(transform(w, flip))
     out = transform_certificate(inner, flip)
     out.construction = inner.construction
+    return out
+
+
+def _sign(x):
+    return 1 if x > 0 else -1
+
+
+def _alternating_ab_exponents(w):
+    """Exponent lists (p_i), (q_i) when w = prod a^{p_i} b^{q_i}, else None;
+    the first a-run is the one the canonical rotation starts with."""
+    from polyw.words import syllable_decomposition
+
+    if w.rank != 2:
+        return None
+    parts = syllable_decomposition(w).parts
+    if len(parts) < 2 or len(parts) % 2:
+        return None
+    if parts[0][0] == 2:
+        parts = parts[1:] + parts[:1]
+    ps, qs = [], []
+    for i in range(0, len(parts), 2):
+        if parts[i][0] != 1 or parts[i + 1][0] != 2:
+            return None
+        ps.append(parts[i][1])
+        qs.append(parts[i + 1][1])
+    return tuple(ps), tuple(qs)
+
+
+def isolated_b_sign_condition_reference(w):
+    """The isolated-b hypothesis summed term by term: for w = prod a^{p_i}
+    b^{q_i} with |p_i| > 1, |q_i| = 1, whether sum_i (sign(p_i q_i) +
+    sign(p_{i+1} q_i)) is 0; None off that shape."""
+    shape = _alternating_ab_exponents(w)
+    if shape is None:
+        return None
+    ps, qs = shape
+    if not all(abs(p) > 1 for p in ps) or not all(abs(q) == 1 for q in qs):
+        return None
+    l = len(ps)
+    return sum(_sign(ps[i] * qs[i]) + _sign(ps[(i + 1) % l] * qs[i]) for i in range(l)) == 0
+
+
+def height_one_reading_reference(w, lead):
+    """The height-one shape whose p-runs are the a-runs after b^lead, read
+    from a run list built syllable by syllable."""
+    from polyw.invariants import HeightOneShape
+    from polyw.words import syllable_starts
+
+    if w.rank != 2:
+        return None
+    syl, starts = syllable_starts(w)
+    parts = syl.parts
+    if len(parts) % 2:
+        return None
+    runs = []  # (preceding b exponent, a exponent, canonical start) per a-run
+    for i, (g, e) in enumerate(parts):
+        if g == 1:
+            if abs(parts[i - 1][1]) != 1:
+                return None
+            runs.append((parts[i - 1][1], e, starts[i]))
+    first = next((k for k, run in enumerate(runs) if run[0] == lead), None)
+    if first is None or len(runs) % 2:
+        return None
+    runs = runs[first:] + runs[:first]
+    if any(be != (lead if k % 2 == 0 else -lead) for k, (be, _e, _s) in enumerate(runs)):
+        return None
+    ps = tuple(e for _be, e, _s in runs[0::2])
+    qs = tuple(e for _be, e, _s in runs[1::2])
+    if len({p > 0 for p in ps}) != 1 or len({q > 0 for q in qs}) != 1:
+        return None
+    return HeightOneShape(ps, qs, -runs[0][2] % len(w))
+
+
+def sourcesink_classify_reference(orientations):
+    """(sources, sinks, filters, pollutants) of an even cycle whose clean
+    edges sit at even t, vertex by vertex with the parity of t."""
+    n = len(orientations)
+    if n % 2 or n == 0 or any(h not in (1, -1) for h in orientations):
+        raise ValueError("need an even, positive number of +-1 orientations")
+    sources = sinks = filters = pollutants = 0
+    for t in range(n):
+        prev, nxt = orientations[(t - 1) % n], orientations[t]
+        if prev == -1 and nxt == 1:
+            sources += 1
+        elif prev == 1 and nxt == -1:
+            sinks += 1
+        elif prev == 1:  # both +1: incoming edge is t-1, dirty iff t even
+            filters += t % 2 == 0
+            pollutants += t % 2 == 1
+        else:  # both -1: incoming edge is t, dirty iff t odd
+            filters += t % 2 == 1
+            pollutants += t % 2 == 0
+    return sources, sinks, filters, pollutants
+
+
+F2_KINDS = {(1, -2): "sink", (-2, 1): "source", (-1, -2): "filter", (-2, -1): "pollutant"}
+
+
+def f2_census_reference(w):
+    """(sources, sinks, filters, pollutants) of a rank-2 word with no
+    isolated generator, each junction named by its canonical signed pair."""
+    from polyw.invariants import canonical_pair, junction_pairs
+
+    kinds = [F2_KINDS[canonical_pair(sp)] for sp in junction_pairs(w)]
+    return tuple(kinds.count(k) for k in ("source", "sink", "filter", "pollutant"))
+
+
+def isolated_b_junctions_reference(w):
+    """(kind, canonical position) per b of an isolated-b word, each named by
+    its sign triple (sign p_i, sign q_i, sign p_{i+1})."""
+    from polyw.words import syllable_starts
+
+    syl, starts = syllable_starts(w)
+    parts = syl.parts
+    l = len(parts) // 2
+    ps = [parts[2 * i][1] for i in range(l)]
+    qs = [parts[2 * i + 1][1] for i in range(l)]
+    out = []
+    for i in range(l):
+        r = (_sign(ps[i]), _sign(qs[i]), _sign(ps[(i + 1) % l]))
+        if r in ((-1, 1, 1), (-1, -1, 1)):
+            kind = "source"
+        elif r in ((1, 1, -1), (1, -1, -1)):
+            kind = "sink"
+        elif r in ((1, 1, 1), (-1, -1, -1)):
+            kind = "filter"
+        else:
+            kind = "pollutant"
+        out.append((kind, starts[2 * i + 1]))
     return out
 
 

@@ -24,6 +24,7 @@ from polyw.constructors import (
 )
 from polyw.invariants import (
     LambdaMultiset,
+    ResourceCapExceeded,
     is_simple_height_one,
     junction_pairs,
     lam,
@@ -296,6 +297,28 @@ def test_height_one_builds_and_certifies_once(monkeypatch, text, swapped, double
     assert out.construction["doubled"] == doubled
     assert sorted(calls) == ["build_complex", "certify"]
     assert out.verify()
+
+
+@pytest.mark.parametrize("text", ["a^3 (a)^b", "a^2 (a^3)^b", "a^3 (a^1)^b a^3 (a^2)^b"])
+def test_height_one_walks_its_circles_once(monkeypatch, text):
+    # boundary_lambda and lambda_components read one walk of the block
+    walks = []
+    walk = complexes._lambda_circles
+
+    def counting(S):
+        walks.append(S)
+        return walk(S)
+
+    monkeypatch.setattr(complexes, "_lambda_circles", counting)
+    out = construct_height_one(cyclic_word(text))
+    assert len(walks) == 1
+    assert out.verify()
+
+
+def test_height_one_refuses_a_block_past_the_slot_bound():
+    # c = d = 1: disks of powers 1000 and 1000 on a 2004-letter word
+    with pytest.raises(ResourceCapExceeded, match="the block needs 4008000 slots"):
+        construct_height_one(cyclic_word("a (a^999)^b a^999 (a)^b"))
 
 
 def test_height_one_multi_factor():

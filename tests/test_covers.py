@@ -5,6 +5,7 @@ import pytest
 from polyw.complexes import DiskSpec, certify, proper_power_certificate
 from polyw.covers import (
     CoverGraph,
+    Elevation,
     FoldednessError,
     LabeledGraph,
     double_surface_report,
@@ -76,6 +77,33 @@ def test_elevation_partition_sums_to_degree():
             continue
         report = elevations(cover, w)
         assert sum(e.multiplier for e in report.elevations) == n
+
+
+def test_elevations_of_a_large_cover_with_an_inverse_letter():
+    # degree 10^5: an inverse found by scanning the permutation would cost
+    # degree^2 steps
+    n = 10 ** 5
+    rng = random.Random(5)
+    a, b = list(range(n)), list(range(n))
+    rng.shuffle(a)
+    rng.shuffle(b)
+    w = cyclic_word("a B")
+    assert w.letters == (1, -2)
+    b_inverse = [0] * n
+    for v, h in enumerate(b):
+        b_inverse[h] = v
+    image = [b_inverse[a[v]] for v in range(n)]  # v -> v.w
+    seen, want = [False] * n, []
+    for v in range(n):  # one elevation per orbit, at its least vertex
+        size, u = 0, v
+        while not seen[u]:
+            seen[u] = True
+            size += 1
+            u = image[u]
+        if size:
+            want.append(Elevation(v, size))
+    report = elevations(CoverGraph(2, (tuple(a), tuple(b))), w)
+    assert report.degree == n and list(report.elevations) == want
 
 
 def test_double_surface_report_values():

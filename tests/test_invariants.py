@@ -4,6 +4,11 @@ import random
 import pytest
 
 import oracles
+from polyw.constructors import (
+    construct_f2_no_isolated,
+    construct_isolated_b,
+    sourcesink_classify,
+)
 from polyw.invariants import (
     DEFAULT_PAIR_CAP,
     DEFAULT_TERM_CAP,
@@ -12,6 +17,8 @@ from polyw.invariants import (
     ResourceCapExceeded,
     RhoElement,
     TnCertificate,
+    _height_one_reading,
+    _isolated_b_junctions,
     canonical_pair,
     has_no_isolated_generators,
     height_one_inequality,
@@ -25,7 +32,7 @@ from polyw.invariants import (
     u_membership,
     verify_tn_certificate,
 )
-from polyw.words import Relabeling, cyclic_word, transform
+from polyw.words import Relabeling, cyclic_word, is_proper_power, transform
 
 
 def M(*terms):
@@ -278,3 +285,61 @@ def test_isolated_b_condition():
         for p2 in (3, -2):
             w = cyclic_word("a^%d (a^%d)^b" % (p1, p2))
             assert isolated_b_sign_condition(w) is True
+
+
+def test_rung_readings_match_references():
+    # every rank-2 cyclic word of length 2-10 against the readings the a-run
+    # parse replaced
+    words = readings = 0
+    for length in range(2, 11):
+        for w in oracles.rank2_cyclic_words(length):
+            words += 1
+            sign = oracles.isolated_b_sign_condition_reference(w)
+            assert isolated_b_sign_condition(w) is sign, w
+            if sign is not None:
+                assert _isolated_b_junctions(w) == oracles.isolated_b_junctions_reference(w), w
+                readings += 1
+            for lead, got in ((1, is_simple_height_one(w)), (-1, _height_one_reading(w, -1))):
+                want = oracles.height_one_reading_reference(w, lead)
+                assert got == want, (w, lead)
+                readings += want is not None
+    assert words == 9514 and readings > 0
+
+
+def _census(fn, orientations):
+    try:
+        return fn(orientations)
+    except ValueError:
+        return "ValueError"
+
+
+def test_junction_census_matches_references():
+    """Each orientation vector o of an alternating cycle, clean edges at
+    even t, against the three encodings the junction-kind rule replaced.
+
+    The f2 word a^{2 o_0} b^{2 o_1} ... has o's junctions in syllable
+    order.  The isolated-b word a^{2 o_0} b^{-1} a^{2 o_1} b ... joins runs
+    t and t+1 at o's vertex t+1, through a b that is positive when that
+    vertex's outgoing edge is clean."""
+    for n in range(1, 11):
+        for o in itertools.product((1, -1), repeat=n):
+            want = _census(oracles.sourcesink_classify_reference, o)
+            assert _census(sourcesink_classify, list(o)) == want, o
+            if n % 2:
+                continue
+            f2 = cyclic_word(" ".join("%s^%d" % ("ab"[t % 2], 2 * h) for t, h in enumerate(o)))
+            assert oracles.f2_census_reference(f2) == want, o
+            ib = cyclic_word(" ".join("a^%d b^%d" % (2 * h, 1 if t % 2 else -1)
+                                      for t, h in enumerate(o)))
+            junctions = _isolated_b_junctions(ib)
+            assert junctions == oracles.isolated_b_junctions_reference(ib), o
+            kinds = [k for k, _pos in junctions]
+            assert tuple(map(kinds.count, ("source", "sink", "filter", "pollutant"))) == want, o
+            # an alternating cycle has as many filters as pollutants, so o's
+            # isolated-b word meets the sign condition
+            assert want[2] == want[3] and isolated_b_sign_condition(ib) is True, o
+            if is_proper_power(f2):
+                continue  # both constructors return the declarative certificate
+            for record in (construct_f2_no_isolated(f2).construction,
+                           construct_isolated_b(ib).construction):
+                assert (record["sources"], record["filters"]) == (want[0], want[2]), o

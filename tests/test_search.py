@@ -1,9 +1,11 @@
+import itertools
 import random
 import time
 
 import pytest
 
-from oracles import certified_pairings, rank2_cyclic_words
+from oracles import certified_pairings, power_configs_by_filter, rank2_cyclic_words
+from polyw import search
 from polyw.constructors import nonpolygonality_follower_obstruction
 from polyw.search import (
     ExhaustedWithin,
@@ -28,6 +30,26 @@ def test_power_configs_respect_parity_and_edges():
     w = cyclic_word("a b a b^2 a b^3")  # length 9
     configs = power_configs(w, SearchBounds(max_disks=2, max_edges=28, max_power=3))
     assert configs == [(2,), (1, 1)]  # odd totals dropped, 27-slot configs odd too
+
+
+def test_power_configs_match_the_filtered_enumeration():
+    checked = 0
+    for text in ["ab", "abc", "a b a b^2 a b^3", "aabbABAb"]:
+        w = cyclic_word(text)
+        for disks in range(1, 6):
+            for power in range(1, 6):
+                for edges in (0, len(w), 3 * len(w) + 1, 40, 100):
+                    bounds = SearchBounds(max_disks=disks, max_edges=edges, max_power=power)
+                    assert power_configs(w, bounds) == power_configs_by_filter(w, bounds)
+                    checked += 1
+    assert checked == 500
+
+
+def test_power_configs_walk_lazily_past_huge_bounds():
+    # a list of them would hold C(1999, 1000) multisets at 1000 disks alone
+    bounds = SearchBounds(max_disks=1000, max_power=1000, max_edges=10 ** 12)
+    first = list(itertools.islice(search._power_configs(cyclic_word("aabbABAb"), bounds), 3))
+    assert first == [(1,), (2,), (3,)]
 
 
 def test_commutator_found_one_disk():
@@ -172,3 +194,12 @@ def test_pruned_search_matches_brute_force(text, bounds):
     assert expected
     assert [cert.to_json_dict() for cert in enumerate_all(w, bounds)] == expected
     assert decide_polygonal(w, bounds).certificate.to_json_dict() == expected[0]
+
+
+@pytest.mark.parametrize("text,bounds", ORACLE_CASES)
+def test_search_without_the_symmetry_cut_finds_the_same_certificate(monkeypatch, text, bounds):
+    # every configuration past the symmetry bound: no cut at all
+    w = cyclic_word(text)
+    want = decide_polygonal(w, bounds).certificate.to_json_dict()
+    monkeypatch.setattr(search, "_MAX_SYMMETRY_SLOTS", 0)
+    assert decide_polygonal(w, bounds).certificate.to_json_dict() == want
