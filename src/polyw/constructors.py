@@ -45,11 +45,9 @@ from .invariants import (
 from .words import (
     MAX_WORD_LENGTH,
     CyclicWord,
-    Relabeling,
     is_proper_power,
     syllable_decomposition,
     syllable_starts,
-    transform,
 )
 
 
@@ -439,18 +437,19 @@ def nonpolygonality_follower_obstruction(w: CyclicWord) -> Optional[NonPolygonal
     """Evidence of non-polygonality for positivizable rank-2 words."""
     if w.rank != 2 or len(w.support()) < 2 or is_proper_power(w):
         return None
-    for inv in (frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})):
-        v = transform(w, Relabeling(invert=inv)) if inv else w
-        if v.is_positive():
-            break
-    else:
-        return None
-    n = len(v.letters)
+    present = set(w.letters)
+    if any(-x in present for x in present):
+        return None  # a generator with both signs: no inversion makes w positive
+    inv = frozenset(-x for x in present if x < 0)
+    # w with inv inverted, read from w's own start: followers and
+    # predecessors do not depend on the rotation
+    v = [abs(x) for x in w.letters]
+    after = v[1:] + v[:1]
     for gen in (1, 2):
-        followers = {v.letters[(i + 1) % n] for i in range(n) if v.letters[i] == gen}
+        followers = {b for a, b in zip(v, after) if a == gen}
         if len(followers) == 1:
             return NonPolygonalityEvidence(w, gen, "follower", followers.pop(), inv)
-        preds = {v.letters[(i - 1) % n] for i in range(n) if v.letters[i] == gen}
+        preds = {a for a, b in zip(v, after) if b == gen}
         if len(preds) == 1:
             return NonPolygonalityEvidence(w, gen, "predecessor", preds.pop(), inv)
     return None

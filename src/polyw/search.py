@@ -1,38 +1,52 @@
 """Bounded search for a certified surface by backtracking over
-side-pairings.
+side-pairings, with forward checking.
 
 The boundary letters of a configuration's disks, which read powers of w,
-are its slots, disk after disk.  The least unpaired slot is paired first,
-with partners of its generator in ascending order, so completions come in
-lexicographic order of the partner array P (P[s] is the slot glued to s).
+are its slots, disk after disk.  Two slots are legal partners when they
+carry the same generator, are not the same disk's letters a multiple of
+|w| apart, and their gluing keeps the quotient immersed.  The same-disk
+cut identifies vertices separated by an interval reading a power of the
+boundary word, which forces the half-rotation component with chi equal
+to its disk count.  Each root of the rollback union-find of vertex
+classes holds two generator bitmasks, the edges entering the class and
+those leaving it; a gluing is immersed iff no class gets two in-edges or
+two out-edges of one generator.  Legality is symmetric in the two slots,
+and it only shrinks as pairs are added.
 
-Each root of the rollback union-find of vertex classes holds two
-generator bitmasks: the edges entering the class and those leaving it.
-A gluing is legal iff every merge joins disjoint masks and the glued
-edge's bit is new at its tail and head, i.e. no vertex gets two in-edges
-or two out-edges of one generator.  A same-disk pair whose position
-difference is a multiple of |w| is cut: it identifies vertices separated
-by an interval reading a power of the boundary word, which forces the
-half-rotation component with chi equal to its disk count.
+The least unpaired slot is branched on, with its partners in ascending
+order.  After each pair the search re-examines the free slots whose
+legal partners that pair may have cut (those with an end in a merged
+vertex class, and those that had counted on a slot just glued): it
+backtracks as soon as one has no legal partner left, and places every
+slot with exactly one, which may force more.  Such a forced pair is the
+slot's only option in every completion below the branch, so the
+completions are still met in lexicographic order of the partner array P
+(P[s] is the slot glued to s): all completions below a branch share its
+prefix and forced pairs, and siblings differ first at the branch slot.
 
 The group G of a configuration permutes the disks of equal power
 and rotates each disk's base point by multiples of |w|: as w is not a
 proper power, every rotation and exchange of disks that keeps letters.
 A branch is cut once some g in G makes g(P) lexicographically smaller
 than P on the slots already determined, so each G-orbit is completed
-once, at its least member (its lex-leader).  Immersion, the same-disk
-cut and ``certify`` are G-invariant, so an orbit is certified whole or
-not at all, and a search without the cut meets an orbit's members in
-lexicographic order, lex-leader first: the first certificate and the
-one-per-orbit list are the same with the cut as without it.
+once, at its least member (its lex-leader).  The cut only reads slots
+that are already paired, whether by a branch or by force, so it holds
+for every completion of the branch whatever order the slots were filled
+in.  Immersion, the same-disk cut and ``certify`` are G-invariant, so an
+orbit is certified whole or not at all, and a search without the cut
+meets an orbit's members in lexicographic order, lex-leader first: the
+first certificate and the one-per-orbit list are the same with the cut
+as without it.
 
 One lazy generator walks the configurations of ``power_configs`` in
 order, in one process under one deadline, and yields each completion
 that ``certify`` accepts; the certifier is the only check applied to a
 completion.  ``decide_polygonal`` returns the first, so a certificate
-found before the deadline is never lost.  ExhaustedWithin is a complete
-negative for the bounds; it is evidence, not proof, of non-polygonality
-in general.
+found before the deadline is never lost.  The deadline is read by work
+done, the setup of each configuration included.  ExhaustedWithin is a
+complete negative for the bounds; it is evidence, not proof, of
+non-polygonality in general.  Its ``nodes``, and TimedOut's, count the
+branch points and leaves of the propagating tree.
 """
 
 from __future__ import annotations
@@ -111,9 +125,9 @@ def _power_configs(w, bounds):
                     break
 
 
-# The deadline is read every _CLOCK_NODES nodes and every _CLOCK_WORK
-# candidate partners examined: one node of a long word scans hundreds.
-_CLOCK_NODES = 2048
+# The deadline is read once _CLOCK_WORK units of work have been done: a slot
+# set up, a candidate partner examined, a slot re-examined, a symmetry image's
+# slot, a node.
 _CLOCK_WORK = 1 << 15
 
 # A configuration whose G holds more slot images than this is searched without
@@ -121,7 +135,7 @@ _CLOCK_WORK = 1 << 15
 _MAX_SYMMETRY_SLOTS = 10 ** 6
 
 
-def _symmetries(w, disks):
+def _symmetries(w, disks, tick):
     """G as (g, g^-1) slot permutations, less the identity: disks of equal
     power permuted, each base point rotated by multiples of |w|."""
     bases = list(itertools.accumulate((d.size for d in disks), initial=0))
@@ -131,102 +145,240 @@ def _symmetries(w, disks):
     order = math.prod(map(math.factorial, map(len, groups.values())))
     if order * math.prod(d.power for d in disks) * bases[-1] > _MAX_SYMMETRY_SLOTS:
         return []  # searched without the cut
+    moves = itertools.product(itertools.product(*map(itertools.permutations, groups.values())),
+                              itertools.product(*(range(d.power) for d in disks)))
+    next(moves)  # the identity
     out = []
-    for perms in itertools.product(*map(itertools.permutations, groups.values())):
+    for perms, rots in moves:
         target = dict(zip(itertools.chain(*groups.values()), itertools.chain(*perms)))
-        for rots in itertools.product(*(range(d.power) for d in disks)):
-            g = [
-                bases[target[i]] + (p + r * len(w)) % d.size
-                for i, (d, r) in enumerate(zip(disks, rots))
-                for p in range(d.size)
-            ]
-            out.append((g, sorted(range(len(g)), key=g.__getitem__)))
-    return out[1:]  # the first is the identity
+        g = [
+            bases[target[i]] + (p + r * len(w)) % d.size
+            for i, (d, r) in enumerate(zip(disks, rots))
+            for p in range(d.size)
+        ]
+        out.append((g, sorted(range(len(g)), key=g.__getitem__)))
+        tick(len(g))
+    return out
 
 
 class _Backtracker:
     """Pairing search on one disk configuration: ``_search`` yields every
-    total, immersion-legal pairing that is the lex-leader of its G-orbit,
-    in lexicographic order of P, without judging chi.  It keeps a stack
-    of frames, one per paired slot, each with its next candidate partner,
-    the undo record of the pair in place and the symmetries still watched.
+    total, legal pairing that is the lex-leader of its G-orbit, in
+    lexicographic order of P, without judging chi.
 
-    A node watches g in G from the first slot i where P and g(P), with
-    g(P)[g(s)] = g(P[s]), may differ.  After a legal pair, i moves past
-    the slots where both are determined and equal; the pair is cut if
-    g(P) is then smaller, and g is dropped if it is larger.
+    Vertices are named by slots: vertex v starts slot v and ends slot
+    prv[v].  Each root of the rollback union-find of vertex classes holds
+    two generator bitmasks, the edges entering the class and those leaving
+    it, and the classes are threaded on circular ``link`` lists.  Every
+    change (a pair placed, a merge, a mask widened) goes on a trail, and
+    backtracking pops the trail to a mark.
+
+    Each slot watches two of its legal partners.  A watch that lapses is
+    moved to another legal partner; when there is none it stays where it
+    was, so that the pair it names, cut at the current level, is legal
+    again once that level is undone.  A watch moves only to a partner
+    legal in a state that contains every state the search can backtrack
+    to while the slot is free, so no watch is ever undone.
     """
 
     def __init__(self, w, disks, deadline):
-        self.word_length = len(w)
-        self.letters, self.name, self.next_slot, self.disk_end = [], [], [], []
-        base = 0
-        for i, d in enumerate(disks):
-            for j, x in enumerate(d.boundary_letters()):
-                self.letters.append(x)
-                self.name.append((i, j))
-                self.next_slot.append(base + (j + 1) % d.size)
-                self.disk_end.append(base + d.size)
-            base += d.size
-        self.total = base
-        self.by_label, self.label_index = {}, []
-        for s, x in enumerate(self.letters):
-            self.label_index.append(len(self.by_label.setdefault(abs(x), [])))
-            self.by_label[abs(x)].append(s)
-        self.group = _symmetries(w, disks)
-        self.partner = [-1] * base
-        self.parent = list(range(base))
-        self.rank_uf = [0] * base
-        self.in_mask = [0] * base  # per root: generators entering the class
-        self.out_mask = [0] * base  # per root: generators leaving it
-        self.nodes = self.work = 0
-        self.deadline = deadline
+        self.deadline, self.work, self.nodes, self.disks = deadline, 0, 0, disks
+        n, letters, key, prv, nxt = len(w), [], [], [], []
+        for d in disks:
+            base = len(letters)
+            letters += d.boundary_letters()
+            key += list(range(base, base + n)) * (d.size // n)  # equal keys: a cut pair
+            prv += [base + d.size - 1, *range(base, base + d.size - 1)]
+            nxt += [*range(base + 1, base + d.size), base]
+            self._tick(d.size)
+        self.total = total = len(letters)
+        self.key, self.prv = key, prv
+        self.tail, self.head, self.bit, self.by_label, self.label_index = [], [], [], {}, []
+        for s, (x, end) in enumerate(zip(letters, nxt)):
+            self.tail.append(s if x > 0 else end)
+            self.head.append(end if x > 0 else s)
+            self.bit.append(1 << abs(x))
+            cands = self.by_label.setdefault(self.bit[s], [])
+            self.label_index.append(len(cands))
+            cands.append(s)
+            self._tick(1)
+        self.group = _symmetries(w, disks, self._tick)
+        self.partner = [-1] * total
+        self.parent = list(range(total))
+        self.link = list(range(total))  # circular list of each class's vertices
+        self.rank_uf = [0] * total
+        self.in_mask = [0] * total  # per root: generators entering the class
+        self.out_mask = [0] * total  # per root: generators leaving it
+        self.paired, self.trail = [], []  # slots placed first in a pair; merges
+        # Watch k = 2s + i is the i-th partner slot s watches, watch[k].  The
+        # watches on one slot t form a list: first[t], then watch_next[k].
+        self.watch = [-1] * (2 * total)
+        self.watch_next, self.watch_prev = [-1] * (2 * total), [-1] * (2 * total)
+        self.first = [-1] * total
+        self._tick(total)
 
-    def _apply_pair(self, s, t):
-        """Glue slots s and t arrow-respectingly; the undo record, or None
-        with nothing changed if the gluing breaks immersion.  Each end of s
-        joins the class of the end of t it meets, plus the glued edge's end."""
-        parent, rank, in_m, out_m = self.parent, self.rank_uf, self.in_mask, self.out_mask
-        u, v = t, self.next_slot[t]  # the ends of t that meet s's start, end
-        if (self.letters[s] > 0) != (self.letters[t] > 0):
-            u, v = v, u
-        bit, undo = 1 << abs(self.letters[s]), []
-        leaves = bit if self.letters[s] > 0 else 0  # the edge leaves s's start
-        for x, y, in_bit, out_bit in ((s, u, bit - leaves, leaves),
-                                      (self.next_slot[s], v, leaves, bit - leaves)):
-            while parent[x] != x:
-                x = parent[x]
-            while parent[y] != y:
-                y = parent[y]
-            ins, outs, clash = in_m[x], out_m[x], 0
+    def _find(self, v):
+        parent = self.parent
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    def _legal(self, s, t):
+        """Whether the gluing of s and t keeps the quotient immersed: the
+        classes of their tails merge, and gain the glued edge leaving them,
+        with no generator leaving or entering twice; then those of their
+        heads.  The rule is symmetric in s and t."""
+        parent, in_m, out_m, bit = self.parent, self.in_mask, self.out_mask, self.bit[s]
+        a, b, c, d = self.tail[s], self.tail[t], self.head[s], self.head[t]
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        while parent[c] != c:
+            c = parent[c]
+        while parent[d] != d:
+            d = parent[d]
+        ins, outs = in_m[a], out_m[a]
+        if a != b:
+            if ins & in_m[b] or outs & out_m[b]:
+                return False
+            ins, outs = ins | in_m[b], outs | out_m[b]
+        if outs & bit:
+            return False
+        outs |= bit
+        c_tail, d_tail = c == a or c == b, d == a or d == b
+        c_in, c_out = (ins, outs) if c_tail else (in_m[c], out_m[c])
+        if c != d and not (c_tail and d_tail):
+            d_in, d_out = (ins, outs) if d_tail else (in_m[d], out_m[d])
+            if c_in & d_in or c_out & d_out:
+                return False
+            c_in |= d_in
+        return not c_in & bit
+
+    def _join(self, s, t):
+        """Glue the legal pair s, t: merge the classes of their tails and
+        of their heads, and record the glued edge in both."""
+        parent, rank, in_m, out_m, link = (
+            self.parent, self.rank_uf, self.in_mask, self.out_mask, self.link)
+        bit = self.bit[s]
+        for u, v, in_bit, out_bit in ((self.tail[s], self.tail[t], 0, bit),
+                                      (self.head[s], self.head[t], bit, 0)):
+            x, y = self._find(u), self._find(v)
+            if rank[x] < rank[y]:
+                x, y = y, x
+            self.trail.append((x, rank[x], in_m[x], out_m[x], y))
             if x != y:
-                clash = in_m[x] & in_m[y] or out_m[x] & out_m[y]
-                ins, outs = ins | in_m[y], outs | out_m[y]
-                if rank[x] < rank[y]:
-                    x, y = y, x
-            if clash or ins & in_bit or outs & out_bit:
-                self._undo(undo)
-                return None
-            undo.append((x, rank[x], in_m[x], out_m[x]))
-            if x != y:
-                undo.append((y, rank[y], in_m[y], out_m[y]))
                 parent[y] = x
                 rank[x] += rank[x] == rank[y]
-            in_m[x], out_m[x] = ins | in_bit, outs | out_bit
+                in_m[x] |= in_m[y]
+                out_m[x] |= out_m[y]
+                link[x], link[y] = link[y], link[x]
+            in_m[x] |= in_bit
+            out_m[x] |= out_bit
         self.partner[s], self.partner[t] = t, s
-        return undo
+        self.paired.append(s)
 
-    def _revert_pair(self, s, undo):
-        self.partner[self.partner[s]] = -1
-        self.partner[s] = -1
-        self._undo(undo)
+    def _undo(self, marks):
+        """Pop the trail back to ``marks``, the lengths of paired and trail."""
+        partner, paired, trail = self.partner, self.paired, self.trail
+        while len(paired) > marks[0]:
+            s = paired.pop()
+            partner[partner[s]] = partner[s] = -1
+        while len(trail) > marks[1]:
+            x, rank, ins, outs, y = trail.pop()
+            self.rank_uf[x], self.in_mask[x], self.out_mask[x] = rank, ins, outs
+            if x != y:
+                self.parent[y] = y
+                self.link[x], self.link[y] = self.link[y], self.link[x]
 
-    def _undo(self, undo):
-        for r, rank, in_bits, out_bits in reversed(undo):
-            self.parent[r] = r
-            self.rank_uf[r] = rank
-            self.in_mask[r] = in_bits
-            self.out_mask[r] = out_bits
+    def _touched(self, s, t):
+        """The free slots whose watches the pair s, t may have made lapse:
+        those watching s or t, those with an end in the class of s's tail
+        or head, and those watching one of these."""
+        partner, prv, link, first, watch_next = (
+            self.partner, self.prv, self.link, self.first, self.watch_next)
+        touched, dirty = [s, t], set()
+        for v in {self._find(self.tail[s]), self._find(self.head[s])}:
+            root = v
+            while True:
+                touched += (v, prv[v])
+                v = link[v]
+                if v == root:
+                    break
+        for u in touched:
+            if partner[u] < 0:
+                dirty.add(u)
+            k = first[u]
+            while k >= 0:
+                dirty.add(k >> 1)
+                k = watch_next[k]
+        self._tick(len(touched) + len(dirty))
+        return dirty
+
+    def _rewatch(self, s):
+        """The legal partners among s's watches, after each lapsed watch has
+        been moved to a legal partner not watched yet, where there is one."""
+        watch, partner, key = self.watch, self.partner, self.key
+        cands = self.by_label[self.bit[s]]
+        legal, work = [], 2
+        for k in (2 * s, 2 * s + 1):
+            t = watch[k]
+            if t >= 0 and partner[t] < 0 and self._legal(s, t):
+                legal.append(t)
+                continue
+            if (self.out_mask[self._find(self.tail[s])] | self.in_mask[self._find(self.head[s])]) & self.bit[s]:
+                return []  # an end of s has its edge of this generator already
+            other, n = watch[k ^ 1], len(cands)
+            start, step = self.label_index[s], 0
+            for step in range(1, n):
+                u = cands[(start + step) % n]
+                if u != other and partner[u] < 0 and key[u] != key[s] and self._legal(s, u):
+                    self._move_watch(k, u)
+                    legal.append(u)
+                    break
+            work += step
+        self._tick(work)
+        return legal
+
+    def _move_watch(self, k, u):
+        """Point watch k at slot u: off the list of its old slot, onto u's."""
+        watch, first, after, before = self.watch, self.first, self.watch_next, self.watch_prev
+        t = watch[k]
+        if t >= 0:
+            if before[k] >= 0:
+                after[before[k]] = after[k]
+            else:
+                first[t] = after[k]
+            if after[k] >= 0:
+                before[after[k]] = before[k]
+        after[k], before[k], watch[k] = first[u], -1, u
+        if first[u] >= 0:
+            before[first[u]] = k
+        first[u] = k
+
+    def _propagate(self, todo, dirty):
+        """Place the pairs of ``todo`` and every pair they force, until each
+        free slot has two legal partners; False as soon as one has none.
+        ``dirty`` holds the free slots whose watches may have lapsed."""
+        partner = self.partner
+        while True:
+            for s in dirty:
+                if partner[s] < 0:
+                    legal = self._rewatch(s)
+                    if len(legal) < 2:
+                        if not legal:
+                            return False
+                        todo.append((s, legal[0]))
+            if not todo:
+                return True
+            s, t = todo.pop()
+            if partner[s] >= 0:  # placed since it was forced
+                dirty = ()
+                continue
+            if partner[t] >= 0 or not self._legal(s, t):
+                return False
+            self._join(s, t)
+            dirty = self._touched(s, t)
 
     def _agreement(self, watch):
         """The (g, g^-1, i) of ``watch`` still undecided, each i advanced,
@@ -255,41 +407,44 @@ class _Backtracker:
                 raise _Timeout
 
     def _search(self):
-        total, partner = self.total, self.partner
-        stack = []  # frames [slot, next candidate index, undo, watch]
-        s, watch = 0, [(g, inverse, 0) for g, inverse in self.group]
+        total, partner, key = self.total, self.partner, self.key
+        if not self._propagate([], range(total)):
+            return
+        watch = self._agreement([(g, inverse, 0) for g, inverse in self.group])
+        if watch is None:
+            return
+        stack = []  # frames [slot, next candidate index, marks, watch]
+        s = 0
         while True:
             self.nodes += 1
-            if self.nodes % _CLOCK_NODES == 0:
-                self._tick(_CLOCK_WORK)
+            self._tick(1)
             while s < total and partner[s] >= 0:
                 s += 1
             if s < total:
                 stack.append([s, self.label_index[s] + 1, None, watch])
             else:
                 self._tick(total)  # what certify will cost
-                yield tuple((self.name[a], self.name[b]) for a, b in enumerate(partner) if b > a)
+                name = [(i, j) for i, d in enumerate(self.disks) for j in range(d.size)]
+                yield tuple((name[a], name[b]) for a, b in enumerate(partner) if b > a)
             while stack:
                 frame = stack[-1]
-                s, k, undo, base = frame
-                if undo is not None:
-                    self._revert_pair(s, undo)
-                cands, first, watch = self.by_label[abs(self.letters[s])], k, None
+                s, k, marks, base = frame
+                if marks is not None:
+                    self._undo(marks)
+                cands, first, watch = self.by_label[self.bit[s]], k, None
                 while k < len(cands) and watch is None:
                     t = cands[k]
                     k += 1
-                    if partner[t] >= 0:
+                    if partner[t] >= 0 or key[t] == key[s]:
                         continue
-                    if t < self.disk_end[s] and (t - s) % self.word_length == 0:
-                        continue  # same disk, a multiple of |w| apart
-                    undo = self._apply_pair(s, t)
-                    if undo is not None:
+                    marks = len(self.paired), len(self.trail)
+                    if self._propagate([(s, t)], ()):
                         watch = self._agreement(base)
-                        if watch is None:
-                            self._revert_pair(s, undo)
+                    if watch is None:
+                        self._undo(marks)
                 self._tick(k - first)
                 if watch is not None:
-                    frame[1], frame[2] = k, undo
+                    frame[1], frame[2] = k, marks
                     s += 1
                     break
                 stack.pop()

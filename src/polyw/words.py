@@ -166,9 +166,6 @@ class CyclicWord:
     def support(self):
         return frozenset(abs(x) for x in self.letters)
 
-    def is_positive(self):
-        return all(x > 0 for x in self.letters)
-
 
 # The most letters a word text may expand to, far above any word the
 # constructions or the search can handle.
@@ -366,24 +363,25 @@ def syllable_starts(w):
     return syl, tuple(starts)
 
 
+def _period(letters):
+    """The least d dividing n = len(letters) with letters[i] = letters[i + d]."""
+    n = len(letters)
+    return next(d for d in range(1, n + 1) if n % d == 0 and letters[d:] == letters[:n - d])
+
+
 def primitive_root(w):
     """Maximal decomposition w = root^power as cyclic words.
 
     >>> primitive_root(cyclic_word("abab ab"))
     (CyclicWord(rank=2, letters=(1, 2)), 3)
     """
-    letters = w.letters
-    n = len(letters)
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        if letters[d:] + letters[:d] == letters:
-            return CyclicWord(w.rank, letters[:d]), n // d
-    raise AssertionError("unreachable: every word has period |w|")
+    d = _period(w.letters)
+    return CyclicWord(w.rank, w.letters[:d]), len(w) // d
 
 
 def is_proper_power(w):
-    return primitive_root(w)[1] > 1
+    """Whether w is root^k with k > 1; the root is not built."""
+    return _period(w.letters) < len(w)
 
 
 @dataclass(frozen=True)

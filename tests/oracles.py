@@ -6,6 +6,7 @@ pruning or memoization, so they share no logic with the library's
 backtracking implementations.
 """
 
+import functools
 import itertools
 
 
@@ -79,20 +80,20 @@ def u_oracle(multiset):
     return False
 
 
+@functools.lru_cache(maxsize=None)
 def rank2_cyclic_words(length):
     """Every rank-2 cyclic word of the given length, once per rotation
-    class, proper powers included."""
+    class, proper powers included, in the order they are first met; built
+    once per length."""
     from polyw.words import CyclicWord
 
-    seen = set()
+    seen = {}
     for letters in itertools.product((1, -1, 2, -2), repeat=length):
         try:
-            w = CyclicWord(2, letters)
+            seen.setdefault(CyclicWord(2, letters))
         except ValueError:
             continue
-        if w not in seen:
-            seen.add(w)
-            yield w
+    return tuple(seen)
 
 
 def power_configs_by_filter(w, bounds):
@@ -759,3 +760,183 @@ def assert_matches_reference(S):
                                if all(flags[(s + r) % m] == (s in sums) for s in range(m)))
     assert boundary_lambda(S) == LambdaMultiset(tuple(terms))
     return want
+
+
+class ReferenceBacktracker:
+    """The side-pairing search before forward checking: it branches on the
+    least unpaired slot, partners ascending, tests each pair by applying
+    it to a rollback union-find, and backtracks only when the branch
+    slot has no legal partner left.  It yields the same completions, in
+    the same order, as ``polyw.search._Backtracker``, with no deadline;
+    ``nodes`` counts its tree."""
+
+    def __init__(self, w, disks):
+        from polyw.search import _symmetries
+
+        self.word_length = len(w)
+        self.letters, self.name, self.next_slot, self.disk_end = [], [], [], []
+        base = 0
+        for i, d in enumerate(disks):
+            for j, x in enumerate(d.boundary_letters()):
+                self.letters.append(x)
+                self.name.append((i, j))
+                self.next_slot.append(base + (j + 1) % d.size)
+                self.disk_end.append(base + d.size)
+            base += d.size
+        self.total = base
+        self.by_label, self.label_index = {}, []
+        for s, x in enumerate(self.letters):
+            self.label_index.append(len(self.by_label.setdefault(abs(x), [])))
+            self.by_label[abs(x)].append(s)
+        self.group = _symmetries(w, disks, lambda work: None)
+        self.partner = [-1] * base
+        self.parent = list(range(base))
+        self.rank_uf = [0] * base
+        self.in_mask = [0] * base
+        self.out_mask = [0] * base
+        self.nodes = 0
+
+    def apply_pair(self, s, t):
+        """Glue slots s and t; the undo record, or None with nothing
+        changed if the gluing breaks immersion."""
+        parent, rank, in_m, out_m = self.parent, self.rank_uf, self.in_mask, self.out_mask
+        u, v = t, self.next_slot[t]
+        if (self.letters[s] > 0) != (self.letters[t] > 0):
+            u, v = v, u
+        bit, undo = 1 << abs(self.letters[s]), []
+        leaves = bit if self.letters[s] > 0 else 0
+        for x, y, in_bit, out_bit in ((s, u, bit - leaves, leaves),
+                                      (self.next_slot[s], v, leaves, bit - leaves)):
+            while parent[x] != x:
+                x = parent[x]
+            while parent[y] != y:
+                y = parent[y]
+            ins, outs, clash = in_m[x], out_m[x], 0
+            if x != y:
+                clash = in_m[x] & in_m[y] or out_m[x] & out_m[y]
+                ins, outs = ins | in_m[y], outs | out_m[y]
+                if rank[x] < rank[y]:
+                    x, y = y, x
+            if clash or ins & in_bit or outs & out_bit:
+                self.undo(undo)
+                return None
+            undo.append((x, rank[x], in_m[x], out_m[x]))
+            if x != y:
+                undo.append((y, rank[y], in_m[y], out_m[y]))
+                parent[y] = x
+                rank[x] += rank[x] == rank[y]
+            in_m[x], out_m[x] = ins | in_bit, outs | out_bit
+        self.partner[s], self.partner[t] = t, s
+        return undo
+
+    def revert_pair(self, s, undo):
+        self.partner[self.partner[s]] = -1
+        self.partner[s] = -1
+        self.undo(undo)
+
+    def undo(self, undo):
+        for r, rank, in_bits, out_bits in reversed(undo):
+            self.parent[r] = r
+            self.rank_uf[r] = rank
+            self.in_mask[r] = in_bits
+            self.out_mask[r] = out_bits
+
+    def agreement(self, watch):
+        partner, total = self.partner, self.total
+        out = []
+        for g, inverse, i in watch:
+            while i < total:
+                a, b = partner[i], partner[inverse[i]]
+                if a < 0 or b < 0:
+                    out.append((g, inverse, i))
+                    break
+                if a != g[b]:
+                    if a > g[b]:
+                        return None
+                    break
+                i += 1
+        return out
+
+    def search(self):
+        total, partner = self.total, self.partner
+        stack = []  # frames [slot, next candidate index, undo, watch]
+        s, watch = 0, [(g, inverse, 0) for g, inverse in self.group]
+        while True:
+            self.nodes += 1
+            while s < total and partner[s] >= 0:
+                s += 1
+            if s < total:
+                stack.append([s, self.label_index[s] + 1, None, watch])
+            else:
+                yield tuple((self.name[a], self.name[b]) for a, b in enumerate(partner) if b > a)
+            while stack:
+                frame = stack[-1]
+                s, k, undo, base = frame
+                if undo is not None:
+                    self.revert_pair(s, undo)
+                cands, watch = self.by_label[abs(self.letters[s])], None
+                while k < len(cands) and watch is None:
+                    t = cands[k]
+                    k += 1
+                    if partner[t] >= 0:
+                        continue
+                    if t < self.disk_end[s] and (t - s) % self.word_length == 0:
+                        continue  # same disk, a multiple of |w| apart
+                    undo = self.apply_pair(s, t)
+                    if undo is not None:
+                        watch = self.agreement(base)
+                        if watch is None:
+                            self.revert_pair(s, undo)
+                if watch is not None:
+                    frame[1], frame[2] = k, undo
+                    s += 1
+                    break
+                stack.pop()
+            else:
+                return
+
+
+def reference_certified(w, bounds, counter=None):
+    """The certificates ``ReferenceBacktracker`` finds within the bounds,
+    configuration by configuration, in the order the search meets them;
+    ``counter["nodes"]``, if given, adds up the nodes visited."""
+    from polyw.complexes import DiskSpec, certify
+    from polyw.search import power_configs
+
+    for powers in power_configs(w, bounds):
+        disks = [DiskSpec(w, k) for k in powers]
+        bt = ReferenceBacktracker(w, disks)
+        try:
+            for pairs in bt.search():
+                cert = certify(w, disks, list(pairs))
+                if cert.polygonal:
+                    yield cert
+        finally:
+            if counter is not None:
+                counter["nodes"] = counter.get("nodes", 0) + bt.nodes
+
+
+def follower_obstruction_reference(w):
+    """``nonpolygonality_follower_obstruction`` as it was: it tries the four
+    inversions in turn, transforms w by each until one makes it positive,
+    and reads followers and predecessors off the transformed word."""
+    from polyw.constructors import NonPolygonalityEvidence
+    from polyw.words import Relabeling, primitive_root, transform
+
+    if w.rank != 2 or len(w.support()) < 2 or primitive_root(w)[1] > 1:
+        return None
+    for inv in (frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})):
+        v = transform(w, Relabeling(invert=inv)) if inv else w
+        if all(x > 0 for x in v.letters):
+            break
+    else:
+        return None
+    n = len(v.letters)
+    for gen in (1, 2):
+        followers = {v.letters[(i + 1) % n] for i in range(n) if v.letters[i] == gen}
+        if len(followers) == 1:
+            return NonPolygonalityEvidence(w, gen, "follower", followers.pop(), inv)
+        preds = {v.letters[(i - 1) % n] for i in range(n) if v.letters[i] == gen}
+        if len(preds) == 1:
+            return NonPolygonalityEvidence(w, gen, "predecessor", preds.pop(), inv)
+    return None

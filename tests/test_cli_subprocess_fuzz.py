@@ -26,6 +26,8 @@ HUGE_SEARCH = ("--strategy", "search", "--max-edges", "1000000000000")
 ARGV = [
     ("check", "a^999999", *BUDGET),
     ("check", "(ab)^30000 aB", *BUDGET),
+    # a search of 60,002 slots and more: the partner lists must stay linear
+    ("check", "(ab)^30000 aB", "--strategy", "search", *BUDGET),
     ("check", "(a^2 b)^5000 a^2 B", *BUDGET),
     ("check", "a", "--rank", "1000000", *BUDGET),
     ("check", "a^2 b^2 c^2", "--rank", "100000", *BUDGET),

@@ -6,7 +6,12 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import assert_matches_reference, height_one_by_transport
+from oracles import (
+    assert_matches_reference,
+    follower_obstruction_reference,
+    height_one_by_transport,
+    rank2_cyclic_words,
+)
 from polyw import complexes, constructors
 from polyw.complexes import DiskSpec, boundary_lambda, build_complex, certify
 from polyw.constructors import (
@@ -363,6 +368,16 @@ def test_obstruction_respects_positivization():
 def test_obstruction_skips_proper_powers_and_mixed_words():
     assert nonpolygonality_follower_obstruction(cyclic_word("abab", 2)) is None
     assert nonpolygonality_follower_obstruction(cyclic_word("a b a^-1 b^-1")) is None
+
+
+def test_obstruction_matches_the_transforming_reference():
+    fired = 0
+    for length in range(1, 11):
+        for w in rank2_cyclic_words(length):
+            evidence = nonpolygonality_follower_obstruction(w)
+            assert evidence == follower_obstruction_reference(w), str(w)
+            fired += evidence is not None
+    assert fired > 200
 
 
 def test_constructors_always_certify_random_sample():

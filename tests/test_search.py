@@ -1,11 +1,19 @@
 import itertools
 import random
 import time
+import types
 
 import pytest
 
-from oracles import certified_pairings, power_configs_by_filter, rank2_cyclic_words
+from oracles import (
+    ReferenceBacktracker,
+    certified_pairings,
+    power_configs_by_filter,
+    rank2_cyclic_words,
+    reference_certified,
+)
 from polyw import search
+from polyw.complexes import DiskSpec
 from polyw.constructors import nonpolygonality_follower_obstruction
 from polyw.search import (
     ExhaustedWithin,
@@ -16,7 +24,7 @@ from polyw.search import (
     enumerate_all,
     power_configs,
 )
-from polyw.words import CyclicWord, cyclic_word
+from polyw.words import CyclicWord, cyclic_word, is_proper_power
 
 
 @pytest.mark.parametrize("budget", [float("nan"), -1.0, float("-inf")])
@@ -107,8 +115,6 @@ def test_obstructed_words_never_found_small_bounds():
     checked = 0
     for length in range(2, 7):
         for w in rank2_cyclic_words(length):
-            from polyw.words import is_proper_power
-
             if is_proper_power(w):
                 continue
             if nonpolygonality_follower_obstruction(w) is None:
@@ -120,15 +126,18 @@ def test_obstructed_words_never_found_small_bounds():
 
 
 def test_time_budget_reports_timeout():
-    # configuration (1,) exhausts in 144 nodes and the first certificate of
-    # (2,) needs 5,142, so a deadline check at node 2048 of (2,) comes first
-    w = cyclic_word("aaBabaaBBAAB")
+    # each configuration reads the clock first after _CLOCK_WORK units of
+    # work; (1,), (2,) and (1, 1) end in fewer, and the first certificate of
+    # (1, 2) or (2, 2) needs many more, so the first reading, in (1, 2), ends it
+    w = cyclic_word("aabbABAb")
+    first_three = decide_polygonal(w, SearchBounds(max_disks=2, max_power=2, max_edges=16))
+    assert isinstance(first_three, ExhaustedWithin)
     out = decide_polygonal(
         w, SearchBounds(max_disks=2, max_power=2, time_budget=1e-9)
     )
     assert isinstance(out, TimedOut)
     # the nodes of the configuration that timed out are counted too
-    assert out.nodes >= 2048 and out.configs_done == 1
+    assert out.nodes > first_three.nodes and out.configs_done == 3
     # with a generous budget the same call does not time out
     out2 = decide_polygonal(w, SearchBounds(max_disks=1, max_power=1, time_budget=60))
     assert not isinstance(out2, TimedOut)
@@ -203,3 +212,76 @@ def test_search_without_the_symmetry_cut_finds_the_same_certificate(monkeypatch,
     want = decide_polygonal(w, bounds).certificate.to_json_dict()
     monkeypatch.setattr(search, "_MAX_SYMMETRY_SLOTS", 0)
     assert decide_polygonal(w, bounds).certificate.to_json_dict() == want
+
+
+@pytest.mark.parametrize("bounds", [SearchBounds(max_disks=2, max_power=1),
+                                    SearchBounds(max_disks=1, max_power=2)])
+def test_enumeration_matches_the_reference_search(bounds):
+    checked = 0
+    for length in range(1, 7):
+        for w in rank2_cyclic_words(length):
+            if is_proper_power(w):
+                continue
+            want = [cert.to_json_dict() for cert in reference_certified(w, bounds)]
+            assert [cert.to_json_dict() for cert in enumerate_all(w, bounds)] == want, str(w)
+            checked += bool(want)
+    assert checked > 30
+
+
+def test_propagation_finds_the_reference_certificate_in_a_third_of_its_nodes():
+    w = cyclic_word("abaBAbabbbAb")
+    bounds = SearchBounds(max_disks=2, max_power=2)
+    counter = {}
+    listing = reference_certified(w, bounds, counter)
+    want = next(listing).to_json_dict()
+    listing.close()
+    progress = search._Progress()
+    got = next(search._certified(w, bounds, progress))
+    assert got.to_json_dict() == want
+    assert decide_polygonal(w, bounds).certificate.to_json_dict() == want
+    assert 3 * progress.nodes <= counter["nodes"]
+
+
+@pytest.mark.parametrize("text,powers", [
+    ("aabbABAb", (1, 2)), ("abaBAbabbbAb", (2,)), ("a b c a^-1 b^-1 c^-1", (1, 1)),
+    ("a (a^2)^b", (1, 1)), ("aBBBBBAB", (2, 2)),
+])
+def test_pair_legality_is_symmetric_and_matches_the_reference(text, powers):
+    # along random walks of legal pairs, every pair of free slots is legal
+    # both ways round or neither, exactly when the reference can glue it
+    w = cyclic_word(text)
+    disks = [DiskSpec(w, k) for k in powers]
+    rng = random.Random(len(w))
+    for _walk in range(5):
+        bt, ref = search._Backtracker(w, disks, None), ReferenceBacktracker(w, disks)
+        while True:
+            legal = []
+            for s, t in itertools.combinations(range(bt.total), 2):
+                if bt.partner[s] >= 0 or bt.partner[t] >= 0 or bt.bit[s] != bt.bit[t]:
+                    continue
+                undo = ref.apply_pair(s, t)
+                if undo is not None:
+                    ref.revert_pair(s, undo)
+                assert bt._legal(s, t) == bt._legal(t, s) == (undo is not None)
+                if undo is not None and bt.key[s] != bt.key[t]:
+                    legal.append((s, t))
+            if not legal:
+                break
+            s, t = rng.choice(legal)
+            bt._join(s, t)
+            ref.apply_pair(s, t)
+
+
+def test_deadline_covers_the_search_setup(monkeypatch):
+    # the clock reads past the deadline from its second reading on; the
+    # setup of the first configuration, 100,002 slots, must end the call
+    readings = itertools.chain([0.0], itertools.repeat(1.0))
+    monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=lambda: next(readings)))
+
+    def started(self):
+        raise AssertionError("the search started after the deadline")
+
+    monkeypatch.setattr(search._Backtracker, "_search", started)
+    w = cyclic_word("(ab)^50000 aB")
+    out = decide_polygonal(w, SearchBounds(max_disks=1, max_power=1, time_budget=0.5))
+    assert out == TimedOut(out.bounds, 0, 0)

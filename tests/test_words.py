@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import least_rotation, parse_letters_recursive
+from oracles import least_rotation, parse_letters_recursive, rank2_cyclic_words
 from polyw.words import (
     MAX_WORD_LENGTH,
     _canonical_rotation,
@@ -18,6 +18,7 @@ from polyw.words import (
     cyclic_word,
     free_reduce,
     inverse_letters,
+    is_proper_power,
     letter_key,
     parse_word,
     primitive_root,
@@ -174,6 +175,19 @@ def test_primitive_root_power_one_by_divisor_oracle():
                and w.letters[d:] + w.letters[:d] == w.letters]
     assert min(periods) == n
     assert primitive_root(w) == (w, 1)
+
+
+def test_proper_power_check_matches_the_root():
+    # every rank-2 cyclic word of length up to 10, and the squares and
+    # cubes of those up to length 5
+    checked = 0
+    for length in range(1, 11):
+        for w in rank2_cyclic_words(length):
+            powers = [w] + [CyclicWord(2, w.letters * k) for k in (2, 3) if length <= 5]
+            for v in powers:
+                assert is_proper_power(v) == (primitive_root(v)[1] > 1), str(v)
+                checked += 1
+    assert checked > 9500
 
 
 def test_primitive_root_single_generator():
