@@ -293,11 +293,12 @@ class _Backtracker:
 
     def _touched(self, s, t):
         """The free slots whose watches the pair s, t may have made lapse:
-        those watching s or t, those with an end in the class of s's tail
-        or head, and those watching one of these."""
+        those with an end in the class of s's tail or head, and those
+        watching one of these or s or t.  None if one of the former is
+        blocked: only a class that changed can block a slot."""
         partner, prv, link, first, watch_next = (
             self.partner, self.prv, self.link, self.first, self.watch_next)
-        touched, dirty = [s, t], set()
+        touched = [s, t]
         for v in {self._find(self.tail[s]), self._find(self.head[s])}:
             root = v
             while True:
@@ -305,6 +306,10 @@ class _Backtracker:
                 v = link[v]
                 if v == root:
                     break
+        self._tick(len(touched))
+        if any(partner[u] < 0 and self._blocked(u) for u in touched):
+            return None
+        dirty = set()
         for u in touched:
             if partner[u] < 0:
                 dirty.add(u)
@@ -312,12 +317,15 @@ class _Backtracker:
             while k >= 0:
                 dirty.add(k >> 1)
                 k = watch_next[k]
-        self._tick(len(touched) + len(dirty))
+        self._tick(len(dirty))
         return dirty
 
     def _rewatch(self, s):
         """The legal partners among s's watches, after each lapsed watch has
-        been moved to a legal partner not watched yet, where there is one."""
+        been moved to a legal partner not watched yet, where there is one.
+        The scan starts after s in its generator's cyclic slot order, not
+        after the lapsed watch: watches moved on from one slot would
+        otherwise pile onto the next candidate the branch tries."""
         watch, partner, key = self.watch, self.partner, self.key
         cands = self.by_label[self.bit[s]]
         legal, work = [], 2
@@ -326,8 +334,6 @@ class _Backtracker:
             if t >= 0 and partner[t] < 0 and self._legal(s, t):
                 legal.append(t)
                 continue
-            if (self.out_mask[self._find(self.tail[s])] | self.in_mask[self._find(self.head[s])]) & self.bit[s]:
-                return []  # an end of s has its edge of this generator already
             other, n = watch[k ^ 1], len(cands)
             start, step = self.label_index[s], 0
             for step in range(1, n):
@@ -356,6 +362,13 @@ class _Backtracker:
             before[first[u]] = k
         first[u] = k
 
+    def _blocked(self, s):
+        """Whether an end of s has its edge of s's generator already, so
+        that s has no legal partner."""
+        bit = self.bit[s]
+        return bool(self.out_mask[self._find(self.tail[s])] & bit
+                    or self.in_mask[self._find(self.head[s])] & bit)
+
     def _propagate(self, todo, dirty):
         """Place the pairs of ``todo`` and every pair they force, until each
         free slot has two legal partners; False as soon as one has none.
@@ -379,6 +392,8 @@ class _Backtracker:
                 return False
             self._join(s, t)
             dirty = self._touched(s, t)
+            if dirty is None:
+                return False
 
     def _agreement(self, watch):
         """The (g, g^-1, i) of ``watch`` still undecided, each i advanced,
