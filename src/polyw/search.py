@@ -13,16 +13,31 @@ those leaving it; a gluing is immersed iff no class gets two in-edges or
 two out-edges of one generator.  Legality is symmetric in the two slots,
 and it only shrinks as pairs are added.
 
+A free slot of generator g is blocked when its tail lies in a class that
+a g-edge already leaves, or its head in one that a g-edge already
+enters: it has no legal partner, so no completion.  Legal partners are
+usable when their gluing blocks no other free slot, a one-step look-ahead.
+Each root also counts, per generator, the free slots whose tail lies in
+its class and those whose head does, so only the classes the gluing
+merges are read.  Usability is symmetric too, and it only shrinks: a
+pair that would block a free slot u still blocks it after more pairs,
+whose classes and edges only grow, and once u is glued the same pair
+would give one class two g-edges the same way, which is not legal.  The
+search glues only usable pairs, so no free slot is ever blocked.
+
 The least unpaired slot is branched on, with its partners in ascending
 order.  After each pair the search re-examines the free slots whose
-legal partners that pair may have cut (those with an end in a merged
+usable partners that pair may have cut (those with an end in a merged
 vertex class, and those that had counted on a slot just glued): it
-backtracks as soon as one has no legal partner left, and places every
+backtracks as soon as one has no usable partner left, and places every
 slot with exactly one, which may force more.  Such a forced pair is the
 slot's only option in every completion below the branch, so the
 completions are still met in lexicographic order of the partner array P
 (P[s] is the slot glued to s): all completions below a branch share its
 prefix and forced pairs, and siblings differ first at the branch slot.
+A gluing that is legal but not usable belongs to no completion, so the
+look-ahead cuts only subtrees without one: the completions, and their
+order, are those of the search that tests legality alone.
 
 The group G of a configuration permutes the disks of equal power
 and rotates each disk's base point by multiples of |w|: as w is not a
@@ -168,17 +183,26 @@ class _Backtracker:
 
     Vertices are named by slots: vertex v starts slot v and ends slot
     prv[v].  Each root of the rollback union-find of vertex classes holds
-    two generator bitmasks, the edges entering the class and those leaving
-    it, and the classes are threaded on circular ``link`` lists.  Every
-    change (a pair placed, a merge, a mask widened) goes on a trail, and
-    backtracking pops the trail to a mark.
+    two generator masks, the edges entering the class and those leaving
+    it, and two counts per generator, the free slots whose tail lies in
+    the class and those whose head does; the classes are threaded on
+    circular ``link`` lists.  Generator k owns the k-th field of
+    ``total.bit_length()`` bits in one int: a mask holds 1 in the field's
+    lowest bit and a count holds the number, so a merge adds the counts,
+    a glued pair subtracts its two ends (its ``bit``, twice), and
+    ``mask * full`` selects the counts of the mask's generators.  Every
+    change (a pair placed, a merge, a mask widened, a count changed) goes
+    on a trail, and backtracking pops the trail to a mark.
 
-    Each slot watches two of its legal partners.  A watch that lapses is
-    moved to another legal partner; when there is none it stays where it
-    was, so that the pair it names, cut at the current level, is legal
+    Each slot watches two of its usable partners.  A watch that lapses is
+    moved to another usable partner; when there is none it stays where it
+    was, so that the pair it names, cut at the current level, is usable
     again once that level is undone.  A watch moves only to a partner
-    legal in a state that contains every state the search can backtrack
-    to while the slot is free, so no watch is ever undone.
+    usable in a state that contains every state the search can backtrack
+    to while the slot is free; usability only shrinks, so no watch is
+    ever undone.  The look-ahead keeps the branch order and the
+    lex-leader cut, and cuts only subtrees with no completion, so the
+    completions come in the same order as without it; only nodes fall.
     """
 
     def __init__(self, w, disks, deadline):
@@ -193,11 +217,16 @@ class _Backtracker:
             self._tick(d.size)
         self.total = total = len(letters)
         self.key, self.prv = key, prv
+        width = total.bit_length()  # a field holds any count of slots
+        self.full = (1 << width) - 1
+        self.tails, self.heads = [0] * total, [0] * total  # per root: free slots' ends
         self.tail, self.head, self.bit, self.by_label, self.label_index = [], [], [], {}, []
         for s, (x, end) in enumerate(zip(letters, nxt)):
             self.tail.append(s if x > 0 else end)
             self.head.append(end if x > 0 else s)
-            self.bit.append(1 << abs(x))
+            self.bit.append(1 << width * abs(x))
+            self.tails[self.tail[s]] += self.bit[s]
+            self.heads[self.head[s]] += self.bit[s]
             cands = self.by_label.setdefault(self.bit[s], [])
             self.label_index.append(len(cands))
             cands.append(s)
@@ -255,26 +284,58 @@ class _Backtracker:
             c_in |= d_in
         return not c_in & bit
 
+    def _usable(self, s, t):
+        """Whether the gluing of s and t is legal and blocks no other free
+        slot: after it, no free slot of a generator may have its tail in a
+        class that an edge of that generator leaves, or its head in one
+        that such an edge enters.  Only the classes the gluing merges
+        change, so only they are read.  The rule is symmetric in s and t."""
+        if not self._legal(s, t):
+            return False
+        find, in_m, out_m, tails, heads = (
+            self._find, self.in_mask, self.out_mask, self.tails, self.heads)
+        bit, full = self.bit[s], self.full
+        tail_roots = {find(self.tail[s]), find(self.tail[t])}
+        head_roots = {find(self.head[s]), find(self.head[t])}
+        if tail_roots & head_roots:
+            merged = ((tail_roots | head_roots, bit, bit),)
+        else:
+            merged = ((tail_roots, 0, bit), (head_roots, bit, 0))
+        for roots, ins, outs in merged:  # the glued edge enters, leaves
+            free_tails, free_heads = -2 * outs, -2 * ins  # s and t are glued
+            for r in roots:
+                ins, outs = ins | in_m[r], outs | out_m[r]
+                free_tails, free_heads = free_tails + tails[r], free_heads + heads[r]
+            if free_tails & outs * full or free_heads & ins * full:
+                return False
+        return True
+
     def _join(self, s, t):
-        """Glue the legal pair s, t: merge the classes of their tails and
-        of their heads, and record the glued edge in both."""
-        parent, rank, in_m, out_m, link = (
-            self.parent, self.rank_uf, self.in_mask, self.out_mask, self.link)
+        """Glue the usable pair s, t: merge the classes of their tails and
+        of their heads, record the glued edge in both, and take s and t
+        out of the free-slot counts."""
+        parent, rank, in_m, out_m, tails, heads, link = (
+            self.parent, self.rank_uf, self.in_mask, self.out_mask,
+            self.tails, self.heads, self.link)
         bit = self.bit[s]
         for u, v, in_bit, out_bit in ((self.tail[s], self.tail[t], 0, bit),
                                       (self.head[s], self.head[t], bit, 0)):
             x, y = self._find(u), self._find(v)
             if rank[x] < rank[y]:
                 x, y = y, x
-            self.trail.append((x, rank[x], in_m[x], out_m[x], y))
+            self.trail.append((x, rank[x], in_m[x], out_m[x], tails[x], heads[x], y))
             if x != y:
                 parent[y] = x
                 rank[x] += rank[x] == rank[y]
                 in_m[x] |= in_m[y]
                 out_m[x] |= out_m[y]
+                tails[x] += tails[y]
+                heads[x] += heads[y]
                 link[x], link[y] = link[y], link[x]
             in_m[x] |= in_bit
             out_m[x] |= out_bit
+            tails[x] -= 2 * out_bit
+            heads[x] -= 2 * in_bit
         self.partner[s], self.partner[t] = t, s
         self.paired.append(s)
 
@@ -285,8 +346,9 @@ class _Backtracker:
             s = paired.pop()
             partner[partner[s]] = partner[s] = -1
         while len(trail) > marks[1]:
-            x, rank, ins, outs, y = trail.pop()
+            x, rank, ins, outs, tails, heads, y = trail.pop()
             self.rank_uf[x], self.in_mask[x], self.out_mask[x] = rank, ins, outs
+            self.tails[x], self.heads[x] = tails, heads
             if x != y:
                 self.parent[y] = y
                 self.link[x], self.link[y] = self.link[y], self.link[x]
@@ -294,8 +356,7 @@ class _Backtracker:
     def _touched(self, s, t):
         """The free slots whose watches the pair s, t may have made lapse:
         those with an end in the class of s's tail or head, and those
-        watching one of these or s or t.  None if one of the former is
-        blocked: only a class that changed can block a slot."""
+        watching one of these or s or t."""
         partner, prv, link, first, watch_next = (
             self.partner, self.prv, self.link, self.first, self.watch_next)
         touched = [s, t]
@@ -307,8 +368,6 @@ class _Backtracker:
                 if v == root:
                     break
         self._tick(len(touched))
-        if any(partner[u] < 0 and self._blocked(u) for u in touched):
-            return None
         dirty = set()
         for u in touched:
             if partner[u] < 0:
@@ -321,30 +380,30 @@ class _Backtracker:
         return dirty
 
     def _rewatch(self, s):
-        """The legal partners among s's watches, after each lapsed watch has
-        been moved to a legal partner not watched yet, where there is one.
+        """The usable partners among s's watches, after each lapsed watch has
+        been moved to a usable partner not watched yet, where there is one.
         The scan starts after s in its generator's cyclic slot order, not
         after the lapsed watch: watches moved on from one slot would
         otherwise pile onto the next candidate the branch tries."""
         watch, partner, key = self.watch, self.partner, self.key
         cands = self.by_label[self.bit[s]]
-        legal, work = [], 2
+        usable, work = [], 2
         for k in (2 * s, 2 * s + 1):
             t = watch[k]
-            if t >= 0 and partner[t] < 0 and self._legal(s, t):
-                legal.append(t)
+            if t >= 0 and partner[t] < 0 and self._usable(s, t):
+                usable.append(t)
                 continue
             other, n = watch[k ^ 1], len(cands)
             start, step = self.label_index[s], 0
             for step in range(1, n):
                 u = cands[(start + step) % n]
-                if u != other and partner[u] < 0 and key[u] != key[s] and self._legal(s, u):
+                if u != other and partner[u] < 0 and key[u] != key[s] and self._usable(s, u):
                     self._move_watch(k, u)
-                    legal.append(u)
+                    usable.append(u)
                     break
             work += step
         self._tick(work)
-        return legal
+        return usable
 
     def _move_watch(self, k, u):
         """Point watch k at slot u: off the list of its old slot, onto u's."""
@@ -362,38 +421,29 @@ class _Backtracker:
             before[first[u]] = k
         first[u] = k
 
-    def _blocked(self, s):
-        """Whether an end of s has its edge of s's generator already, so
-        that s has no legal partner."""
-        bit = self.bit[s]
-        return bool(self.out_mask[self._find(self.tail[s])] & bit
-                    or self.in_mask[self._find(self.head[s])] & bit)
-
     def _propagate(self, todo, dirty):
         """Place the pairs of ``todo`` and every pair they force, until each
-        free slot has two legal partners; False as soon as one has none.
+        free slot has two usable partners; False as soon as one has none.
         ``dirty`` holds the free slots whose watches may have lapsed."""
         partner = self.partner
         while True:
             for s in dirty:
                 if partner[s] < 0:
-                    legal = self._rewatch(s)
-                    if len(legal) < 2:
-                        if not legal:
+                    usable = self._rewatch(s)
+                    if len(usable) < 2:
+                        if not usable:
                             return False
-                        todo.append((s, legal[0]))
+                        todo.append((s, usable[0]))
             if not todo:
                 return True
             s, t = todo.pop()
             if partner[s] >= 0:  # placed since it was forced
                 dirty = ()
                 continue
-            if partner[t] >= 0 or not self._legal(s, t):
+            if partner[t] >= 0 or not self._usable(s, t):
                 return False
             self._join(s, t)
             dirty = self._touched(s, t)
-            if dirty is None:
-                return False
 
     def _agreement(self, watch):
         """The (g, g^-1, i) of ``watch`` still undecided, each i advanced,

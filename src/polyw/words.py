@@ -8,6 +8,8 @@ corresponding lowercase one: ``"aaB"`` is a^2 b^-1.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import string
 from dataclasses import dataclass
 from typing import Tuple
@@ -165,6 +167,12 @@ class CyclicWord:
 
     def support(self):
         return frozenset(abs(x) for x in self.letters)
+
+    @functools.cached_property
+    def _syllables(self):
+        """``(Syllables, starts)``, read once per word; it is outside the
+        dataclass fields, so equality and hashing ignore it."""
+        return _read_syllables(self)
 
 
 # The most letters a word text may expand to, far above any word the
@@ -337,6 +345,16 @@ def syllable_decomposition(w):
     >>> syllable_decomposition(cyclic_word("a^2 b^-3")).parts
     ((1, 2), (2, -3))
     """
+    return w._syllables[0]
+
+
+def syllable_starts(w):
+    """Start position of each syllable of ``w`` in canonical coordinates."""
+    return w._syllables
+
+
+def _read_syllables(w):
+    """The syllables of :func:`syllable_decomposition` and their starts."""
     parts = []
     for x in w.letters:
         if parts and abs(x) == parts[-1][0]:
@@ -349,18 +367,8 @@ def syllable_decomposition(w):
     if len(parts) > 1 and parts[0][0] == parts[-1][0]:
         last = parts.pop()
         parts[0][1] += last[1]
-    return Syllables(w.rank, tuple((g, e) for g, e in parts))
-
-
-def syllable_starts(w):
-    """Start position of each syllable of ``w`` in canonical coordinates."""
-    syl = syllable_decomposition(w)
-    starts = []
-    pos = 0
-    for g, e in syl.parts:
-        starts.append(pos)
-        pos += abs(e)
-    return syl, tuple(starts)
+    syl = Syllables(w.rank, tuple((g, e) for g, e in parts))
+    return syl, tuple(itertools.accumulate((abs(e) for _g, e in syl.parts[:-1]), initial=0))
 
 
 def _period(letters):

@@ -3,11 +3,14 @@
 These deliberately re-derive membership from the definitions (set
 partitions, perfect matchings, literal modular-disjointness) with no
 pruning or memoization, so they share no logic with the library's
-backtracking implementations.
+backtracking implementations.  The exception is
+``ForwardCheckingBacktracker``, the library's search less one test.
 """
 
 import functools
 import itertools
+
+from polyw.search import _Backtracker
 
 
 def set_partitions(items):
@@ -829,6 +832,24 @@ class ReferenceBacktracker:
         self.partner[s], self.partner[t] = t, s
         return undo
 
+    def blocked(self):
+        """Whether some free slot already has its generator's edge at an
+        end: leaving its tail's class, or entering its head's."""
+        parent = self.parent
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for u, x in enumerate(self.letters):
+            if self.partner[u] < 0:
+                tail, head = (u, self.next_slot[u]) if x > 0 else (self.next_slot[u], u)
+                bit = 1 << abs(x)
+                if self.out_mask[find(tail)] & bit or self.in_mask[find(head)] & bit:
+                    return True
+        return False
+
     def revert_pair(self, s, undo):
         self.partner[self.partner[s]] = -1
         self.partner[s] = -1
@@ -914,6 +935,14 @@ def reference_certified(w, bounds, counter=None):
         finally:
             if counter is not None:
                 counter["nodes"] = counter.get("nodes", 0) + bt.nodes
+
+
+class ForwardCheckingBacktracker(_Backtracker):
+    """``polyw.search._Backtracker`` without its look-ahead: a pair is
+    usable when it is legal.  It meets the same completions, in the same
+    order, through more nodes."""
+
+    _usable = _Backtracker._legal
 
 
 def follower_obstruction_reference(w):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import polyw
-from polyw import cli
+from polyw import cli, words
 from polyw.cli import build_parser, check_polygonal
 from polyw.complexes import PolygonalityCertificate
 from polyw.cyclecover import verify_dual
@@ -29,6 +29,19 @@ def run_python(*args):
 
 def run_cli(*args):
     return run_python("-m", "polyw.cli", *args)
+
+
+@pytest.mark.parametrize("text", [
+    "a^6 b^-3 c^5 b^4 c^-7",  # certified by the tn rung
+    "a^-3 (a^1)^b a^-3 (a^1)^b a^-1 (a^2)^b a^-2 (a^2)^b",  # by the height-one rung
+    "(ab)^300 aB",  # every rung and the LP decline it, and the search times out
+])
+def test_check_reads_the_syllables_once(monkeypatch, text):
+    read, real = [], words._read_syllables
+    monkeypatch.setattr(words, "_read_syllables", lambda w: read.append(w) or real(w))
+    w = cyclic_word(text)
+    check_polygonal(w, bounds=cli.search.SearchBounds(time_budget=0.1))
+    assert read == [w]
 
 
 def test_check_polygonal_exit_zero(tmp_path):

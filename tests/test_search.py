@@ -6,6 +6,7 @@ import types
 import pytest
 
 from oracles import (
+    ForwardCheckingBacktracker,
     ReferenceBacktracker,
     certified_pairings,
     power_configs_by_filter,
@@ -15,6 +16,7 @@ from oracles import (
 from polyw import search
 from polyw.complexes import DiskSpec
 from polyw.constructors import nonpolygonality_follower_obstruction
+from polyw.cyclecover import lp_dual
 from polyw.search import (
     ExhaustedWithin,
     Found,
@@ -126,9 +128,9 @@ def test_obstructed_words_never_found_small_bounds():
 
 
 def test_time_budget_reports_timeout():
-    # each configuration reads the clock first after _CLOCK_WORK units of
-    # work; (1,), (2,) and (1, 1) end in fewer, and the first certificate of
-    # (1, 2) or (2, 2) needs many more, so the first reading, in (1, 2), ends it
+    # each configuration reads the clock first after _CLOCK_WORK (32,768)
+    # units of work; (1,), (2,) and (1, 1) end in 179, 2,590 and 2,993, and
+    # (1, 2) exhausts in 34,466, so the first reading, in (1, 2), ends it
     w = cyclic_word("aabbABAb")
     first_three = decide_polygonal(w, SearchBounds(max_disks=2, max_power=2, max_edges=16))
     assert isinstance(first_three, ExhaustedWithin)
@@ -247,29 +249,86 @@ def test_propagation_finds_the_reference_certificate_in_a_third_of_its_nodes():
     ("a (a^2)^b", (1, 1)), ("aBBBBBAB", (2, 2)),
 ])
 def test_pair_legality_is_symmetric_and_matches_the_reference(text, powers):
-    # along random walks of legal pairs, every pair of free slots is legal
-    # both ways round or neither, exactly when the reference can glue it
+    # along random walks, every pair of free slots is legal both ways round
+    # or neither, exactly when the reference can glue it; while the walk
+    # glues usable pairs, the same holds of usability, read as: the
+    # reference can glue it and no free slot is blocked after, and a pair
+    # once unusable stays so; then the walk glues legal pairs to its end
     w = cyclic_word(text)
     disks = [DiskSpec(w, k) for k in powers]
     rng = random.Random(len(w))
     for _walk in range(5):
         bt, ref = search._Backtracker(w, disks, None), ReferenceBacktracker(w, disks)
+        unusable, gluing_usable = set(), True
         while True:
-            legal = []
+            legal, usable = [], []
             for s, t in itertools.combinations(range(bt.total), 2):
                 if bt.partner[s] >= 0 or bt.partner[t] >= 0 or bt.bit[s] != bt.bit[t]:
                     continue
                 undo = ref.apply_pair(s, t)
+                clear = undo is not None and not ref.blocked()
                 if undo is not None:
                     ref.revert_pair(s, undo)
                 assert bt._legal(s, t) == bt._legal(t, s) == (undo is not None)
-                if undo is not None and bt.key[s] != bt.key[t]:
-                    legal.append((s, t))
+                if gluing_usable:
+                    assert bt._usable(s, t) == bt._usable(t, s) == clear
+                    assert not (clear and (s, t) in unusable)
+                    if not clear:
+                        unusable.add((s, t))
+                if bt.key[s] != bt.key[t]:
+                    if undo is not None:
+                        legal.append((s, t))
+                    if clear:
+                        usable.append((s, t))
+            gluing_usable = gluing_usable and bool(usable)
             if not legal:
                 break
-            s, t = rng.choice(legal)
+            s, t = rng.choice(usable if gluing_usable else legal)
             bt._join(s, t)
             ref.apply_pair(s, t)
+
+
+def test_the_oracle_without_look_ahead_visits_the_earlier_nodes(monkeypatch):
+    # 1,625 nodes: the search that glued any legal pair, with a check for
+    # blocked slots that only ended failing branches sooner
+    monkeypatch.setattr(search, "_Backtracker", ForwardCheckingBacktracker)
+    out = decide_polygonal(cyclic_word("aBBBBBAB"), SearchBounds(max_disks=2, max_power=2))
+    assert out == ExhaustedWithin(out.bounds, 1625)
+
+
+def _first_certificate(w, bounds):
+    """The first certificate's JSON, or None, and the nodes visited."""
+    progress = search._Progress()
+    listing = search._certified(w, bounds, progress)
+    cert = next(listing, None)
+    listing.close()
+    return cert and cert.to_json_dict(), progress.nodes
+
+
+def test_look_ahead_finds_the_same_first_certificate_in_fewer_nodes(monkeypatch):
+    # length-8 rank-2 words that neither the follower obstruction nor the
+    # cycle-cover LP settles; the sample holds an exhaustion, aaabaBAB
+    pool = [w for w in rank2_cyclic_words(8) if not is_proper_power(w)
+            and nonpolygonality_follower_obstruction(w) is None and lp_dual(w) is None]
+    bounds = SearchBounds(max_disks=2, max_power=2)
+    fewer = 0
+    for w in random.Random(8).sample(pool, 40):
+        cert, nodes = _first_certificate(w, bounds)
+        with monkeypatch.context() as m:
+            m.setattr(search, "_Backtracker", ForwardCheckingBacktracker)
+            want, before = _first_certificate(w, bounds)
+        assert cert == want and nodes <= before, str(w)
+        fewer += nodes < before
+    assert fewer >= 10
+
+
+def test_look_ahead_exhausts_where_forward_checking_could_not():
+    bounds = SearchBounds(max_disks=2, max_power=2)
+    out = decide_polygonal(cyclic_word("aBBBBBAB"), bounds)
+    assert isinstance(out, ExhaustedWithin) and out.nodes <= 100  # 1,625 without it
+    # without it, 202,073 nodes in 30 s did not end this search
+    out = decide_polygonal(cyclic_word("abaBaBaBBBBB"), SearchBounds(time_budget=20))
+    assert isinstance(out, ExhaustedWithin) and out.nodes < 2000
 
 
 def test_deadline_covers_the_search_setup(monkeypatch):

@@ -162,6 +162,13 @@ def test_syllable_starts_align_with_canonical_letters():
         assert run == tuple([g if e > 0 else -g] * abs(e))
 
 
+def test_syllables_are_read_once_and_left_out_of_equality():
+    w, fresh = cyclic_word("a^2 b^-3 a b"), cyclic_word("a^2 b^-3 a b")
+    assert syllable_starts(w) is syllable_starts(w)
+    assert syllable_decomposition(w) is syllable_starts(w)[0]
+    assert w == fresh and hash(w) == hash(fresh) and {w: 1}[fresh] == 1
+
+
 def test_primitive_root_visible_period():
     root, k = primitive_root(cyclic_word("ababab"))
     assert (str(root), k) == ("ab", 3)
