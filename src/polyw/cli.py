@@ -3,6 +3,13 @@
 Exit codes are stable: 0 affirmative, 1 negative with evidence,
 2 inconclusive / exhausted / not-applicable, 3 usage or parse error.
 Every command runs on the standard library alone.
+
+``check`` walks one ladder, in order: proper power, T_n cycle gluing,
+isolated b, simple height one, the cycle-cover LP, the bounded search.
+``_verdict`` maps every rung's outcome: a certificate to polygonal, negative
+evidence to not-polygonal, a word outside the hypothesis to not-applicable,
+a cap or a failed construction to inconclusive with the reason, and an
+exhausted or timed-out search to inconclusive with its node count.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from .constructors import (
     construct_from_tn,
     construct_height_one,
     construct_isolated_b,
-    nonpolygonality_follower_obstruction,
+    nonpolygonality_follower_obstruction,  # noqa: F401 (no rung; bench/tracing.py patches it)
 )
 from .invariants import ResourceCapExceeded, has_no_isolated_generators, rho, tn_membership
 from .words import MAX_WORD_LENGTH, CyclicWord, cyclic_word, is_proper_power
@@ -100,9 +107,14 @@ def _emit(data, out):
     _write(json.dumps(data), out)
 
 
-def _construct_tn(w):
-    """The T_n construction on a cycle certificate of rho(w); its hypothesis
-    (no isolated generator) is tested before rho is computed."""
+def _proper_power(w, _bounds):
+    if not is_proper_power(w):
+        raise NotApplicableError("word is not a proper power")
+    return proper_power_certificate(w)
+
+
+def _tn(w, _bounds):
+    """T_n cycle gluing; no isolated generator is tested before rho."""
     if not has_no_isolated_generators(w):
         raise NotApplicableError("word has an isolated generator")
     cert = tn_membership(rho(w))
@@ -111,72 +123,58 @@ def _construct_tn(w):
     return construct_from_tn(w, cert)
 
 
-# The constructor rungs by strategy name.  Each constructor tests its own
-# hypothesis and raises NotApplicableError outside it.  The lambdas look the
-# constructors up when they run, so a patched module attribute is seen.
-RUNGS = {
-    "tn": _construct_tn,
-    "isolated-b": lambda w: construct_isolated_b(w),
-    "height-one": lambda w: construct_height_one(w),
-}
-AUTO_RUNGS = ("tn", "isolated-b", "height-one")
+def _cycle_cover(w, _bounds):
+    dual = cyclecover.lp_dual(w)
+    if dual is None:
+        raise NotApplicableError("no cycle-cover dual verifies")
+    return {"evidence": "cycle-cover-lp", "dual": dual}
 
 
-def _rung_verdict(strategy, w):
-    """One constructor rung as a verdict: a certificate, not-applicable
-    outside its hypothesis, or inconclusive past a resource cap or when
-    the construction fails its own certification."""
+# The ladder in ``auto`` order; ``--strategy`` runs one rung by name.  The
+# lambdas look the constructors up when run, so patched attributes are seen.
+LADDER = (
+    ("proper-power", _proper_power),
+    ("tn", _tn),
+    ("isolated-b", lambda w, _bounds: construct_isolated_b(w)),
+    ("height-one", lambda w, _bounds: construct_height_one(w)),
+    ("cycle-cover-lp", _cycle_cover),
+    ("search", lambda w, bounds: search.decide_polygonal(w, bounds)),
+)
+STRATEGIES = ("auto", "tn", "isolated-b", "height-one", "search")
+
+
+def _verdict(rung, w, bounds):
+    """The one mapping from a rung's outcome to a verdict."""
     try:
-        cert = RUNGS[strategy](w)
+        outcome = rung(w, bounds)
     except NotApplicableError as err:
         return Verdict("not-applicable", {"reason": str(err)})
     except (ResourceCapExceeded, ConstructionError) as err:
         return Verdict("inconclusive", {"reason": str(err)})
-    return Verdict("polygonal", cert.to_json_dict())
-
-
-def _search_verdict(w, bounds):
-    """The search outcome as a verdict: a certificate, or inconclusive."""
-    outcome = search.decide_polygonal(w, bounds)
     if isinstance(outcome, search.Found):
-        return Verdict("polygonal", outcome.certificate.to_json_dict())
+        outcome = outcome.certificate
+    if isinstance(outcome, PolygonalityCertificate):
+        return Verdict("polygonal", outcome.to_json_dict())
     if isinstance(outcome, search.ExhaustedWithin):
         return Verdict("inconclusive", {"search": "exhausted", "nodes": outcome.nodes})
-    return Verdict("inconclusive", {"search": "timed-out", "nodes": outcome.nodes})
+    if isinstance(outcome, search.TimedOut):
+        return Verdict("inconclusive", {"search": "timed-out", "nodes": outcome.nodes})
+    return Verdict("not-polygonal", outcome)
 
 
 def check_polygonal(w: CyclicWord, strategy="auto", bounds=None) -> Verdict:
-    """Decide/certify polygonality; the library-level pipeline behind
-    ``polyw check``.
-
-    ``auto`` walks the constructor rungs in ``AUTO_RUNGS`` order: a word
-    outside a rung's hypothesis moves on to the next one, and the first
-    rung that certifies or hits a cap gives the verdict.  After the rungs
-    come the cycle-cover LP and the bounded search.
-    """
+    """Decide/certify polygonality, as ``polyw check`` does.  ``auto`` stops
+    at the first rung of ``LADDER`` that is not "not-applicable" (the
+    search, last, never is); any other strategy runs its one rung."""
+    if strategy not in STRATEGIES:
+        raise ValueError("unknown strategy %r" % strategy)
     bounds = bounds or search.SearchBounds()
-    if strategy == "search":
-        return _search_verdict(w, bounds)
-    if strategy != "auto":
-        return _rung_verdict(strategy, w)
-    if is_proper_power(w):
-        return Verdict("polygonal", proper_power_certificate(w).to_json_dict())
-    evidence = nonpolygonality_follower_obstruction(w)
-    if evidence is not None:
-        return Verdict("not-polygonal", {
-            "evidence": "follower-obstruction",
-            "generator": "ab"[evidence.generator - 1],
-            "kind": evidence.kind,
-            "inverted": sorted("ab"[g - 1] for g in evidence.inversions),
-        })
-    for rung in AUTO_RUNGS:
-        verdict = _rung_verdict(rung, w)
-        if verdict.status != "not-applicable":
-            return verdict
-    dual = cyclecover.lp_dual(w)
-    if dual is not None:
-        return Verdict("not-polygonal", {"evidence": "cycle-cover-lp", "dual": dual})
-    return _search_verdict(w, bounds)
+    for name, rung in LADDER:
+        if strategy in ("auto", name):
+            verdict = _verdict(rung, w, bounds)
+            if verdict.status != "not-applicable":
+                break
+    return verdict
 
 
 def cmd_check(args):
@@ -330,7 +328,7 @@ def build_parser():
     _add_word_arg(p)
     p.add_argument(
         "--strategy",
-        choices=["auto", "tn", "isolated-b", "height-one", "search"],
+        choices=STRATEGIES,
         default="auto",
     )
     _add_search_args(p)

@@ -46,7 +46,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, Optional
 
-from .whitehead import whitehead_graph
 from .words import is_proper_power, letter_key, letters_to_str, word_key
 
 # Paths the cycle enumeration may extend: a rank-3 graph needs a few
@@ -56,8 +55,12 @@ _MAX_PATHS = 4096
 
 
 def _corner_pairs(w):
-    """The dart pairs of w's corners, each with its capacity m_e."""
-    capacity = Counter(tuple(sorted(e, key=letter_key)) for e in whitehead_graph(w))
+    """The dart pairs of w's corners, each with its capacity m_e; each
+    distinct letter pair is counted, then normalised once."""
+    letters = w.letters
+    capacity = Counter()
+    for (x, y), m in Counter(zip(letters[-1:] + letters[:-1], letters)).items():
+        capacity[tuple(sorted({x, -y}, key=letter_key))] += m
     return sorted(capacity.items(), key=lambda item: word_key(item[0]))
 
 

@@ -40,6 +40,9 @@ DEFAULT_ORBIT_CAP = 10 ** 6
 # The move lists grow past use with the rank: 2r*4^(r-1) multiplier moves
 # (12276 at rank 6, 262128 at rank 8) and 2^r*r! signed permutations.
 MAX_MOVE_RANK = 6
+# Letters the move images of one minimization may hold in all, about 2 s of
+# work; random rank-3 words of length 12 need under 10,000.
+MAX_MOVE_WORK = 1 << 20
 
 
 def _check_rank(rank):
@@ -77,14 +80,11 @@ class SecondKindMove:
         return tuple(img)
 
     def apply(self, w):
-        out = []
-        images = [self.image_of_generator(g) for g in range(1, w.rank + 1)]
-        for x in w.letters:
-            if x > 0:
-                out.extend(images[x - 1])
-            else:
-                out.extend(inverse_letters(images[-x - 1]))
-        return cyclic_reduce(Word(w.rank, tuple(out)))
+        images = {}
+        for g in range(1, w.rank + 1):
+            images[g] = self.image_of_generator(g)
+            images[-g] = inverse_letters(images[g])
+        return cyclic_reduce(Word(w.rank, tuple(y for x in w.letters for y in images[x])))
 
     def __str__(self):
         a = self.multiplier
@@ -93,10 +93,7 @@ class SecondKindMove:
 
 
 def signed_letters(rank):
-    out = []
-    for g in range(1, rank + 1):
-        out.extend((g, -g))
-    return out
+    return [x for g in range(1, rank + 1) for x in (g, -g)]
 
 
 def all_first_kind_moves(rank):
@@ -143,15 +140,20 @@ def minimize(w):
 
     At each step every multiplier move is tried; among the moves achieving
     the best shortening the least one (fixed move encoding) is applied.
+    Past ``MAX_MOVE_WORK`` letters of images it raises ResourceCapExceeded.
     """
     moves = all_second_kind_moves(w.rank)
     steps = []
     current = w
+    work = 0
     while True:
         best_move = None
         best_word = None
         for move in moves:  # already sorted, so first strict improvement is least
             image = move.apply(current)
+            work += len(image)
+            if work > MAX_MOVE_WORK:
+                raise ResourceCapExceeded("minimization past %d letters" % MAX_MOVE_WORK)
             if best_word is None or len(image) < len(best_word):
                 best_move, best_word = move, image
         if best_word is None or len(best_word) >= len(current):
@@ -222,12 +224,8 @@ def equivalent(w1, w2, cap=DEFAULT_ORBIT_CAP):
 
 def whitehead_graph(w):
     """Edges {x, -y} for cyclically adjacent letters x y of ``w``."""
-    edges = []
-    n = len(w.letters)
-    for i in range(n):
-        x, y = w.letters[i], w.letters[(i + 1) % n]
-        edges.append(frozenset((x, -y)) if x != -y else frozenset((x,)))
-    return edges
+    letters = w.letters
+    return [frozenset((x, -y)) for x, y in zip(letters, letters[1:] + letters[:1])]
 
 
 def _connected_without(vertices, adjacency, removed):
@@ -259,11 +257,8 @@ def cut_vertex_prescreen(w):
         if len(e) == 2:
             adjacency[e[0]].add(e[1])
             adjacency[e[1]].add(e[0])
-    if not _connected_without(vertices, adjacency, None):
+    if not all(_connected_without(vertices, adjacency, v) for v in [None, *vertices]):
         return None
-    for v in vertices:
-        if not _connected_without(vertices, adjacency, v):
-            return None
     return True
 
 

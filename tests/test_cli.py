@@ -65,7 +65,8 @@ def test_check_obstruction_exit_one():
     assert proc.returncode == 1
     data = json.loads(proc.stdout)
     assert data["status"] == "not-polygonal"
-    assert data["result"]["evidence"] == "follower-obstruction"
+    assert data["result"]["evidence"] == "cycle-cover-lp"
+    assert verify_dual(cyclic_word("a b a b^2 a b^3"), data["result"]["dual"])
 
 
 def test_check_cycle_cover_lp_exit_one():
@@ -427,3 +428,15 @@ def test_whitehead_past_the_rank_cap_is_inconclusive(capsys, monkeypatch, comman
     assert data == {"word": "abc", "status": "inconclusive",
                     "reason": "rank 3 is past the Whitehead move cap, rank 2"}
     assert run_main(command, "abAB") in (0, 1)
+
+
+@pytest.mark.parametrize("command", ["minimize", "diskbusting"])
+def test_whitehead_past_the_work_cap_is_inconclusive(capsys, monkeypatch, command):
+    # "a b a b^2 a b^3" takes three passes of 12 move images, 264 letters in all
+    monkeypatch.setattr(cli.whitehead, "MAX_MOVE_WORK", 100)
+    assert run_main(command, "a b a b^2 a b^3") == 2
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "inconclusive"
+    assert data["reason"] == "minimization past 100 letters"
+    monkeypatch.setattr(cli.whitehead, "MAX_MOVE_WORK", 1000)
+    assert run_main(command, "a b a b^2 a b^3") in (0, 1)

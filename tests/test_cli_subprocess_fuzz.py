@@ -48,6 +48,8 @@ ARGV = [
     ("stats", "--length", "1000000", "--samples", "1"),
     ("cover", "/dev/zero"),
     ("render", "/dev/zero", "--cover"),
+    # 12,276 moves on a 6,000-letter word: the work cap stops it
+    ("minimize", "(abcABC)^1000", "--rank", "6"),
 ]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,8 @@ from polyw.cli import check_polygonal
 from polyw.constructors import nonpolygonality_follower_obstruction
 from polyw.cyclecover import lp_dual, verify_dual
 from polyw.search import ExhaustedWithin, Found, SearchBounds, decide_polygonal
-from polyw.words import CyclicWord, cyclic_word, is_proper_power
+from polyw.whitehead import whitehead_graph
+from polyw.words import CyclicWord, cyclic_word, is_proper_power, letter_key, word_key
 
 
 def _rank2_words(max_length):
@@ -43,6 +45,12 @@ def test_fires_exactly_on_the_follower_obstructed_rank2_words():
     assert len(RANK2_UP_TO_8) == 1316
     assert fired == obstructed and len(fired) == 124
     assert all(verify_dual(w, lp_dual(w)) for w in fired)
+    # with no follower rung in the ladder, the cycle-cover rung answers them
+    for w in fired:
+        verdict = check_polygonal(w)
+        assert (verdict.status, verdict.exit_code) == ("not-polygonal", 1), str(w)
+        assert verdict.payload["evidence"] == "cycle-cover-lp", str(w)
+        assert verify_dual(w, verdict.payload["dual"]), str(w)
 
 
 def test_fired_words_exhaust_the_search():
@@ -56,15 +64,15 @@ def test_fired_words_exhaust_the_search():
         assert isinstance(outcome, ExhaustedWithin), str(w)
 
 
-@pytest.mark.parametrize(
-    "words",
-    [
-        list(_rank2_words(7)),
-        _random_words(3, 6, 60, 36) + _random_words(3, 8, 40, 38) + _random_words(3, 10, 10, 310),
-        _random_words(4, 8, 10, 48),
-    ],
-    ids=["rank2-len1-7", "rank3-len6-10", "rank4-len8"],
-)
+CLOSED_FORM_WORDS = [
+    list(_rank2_words(7)),
+    _random_words(3, 6, 60, 36) + _random_words(3, 8, 40, 38) + _random_words(3, 10, 10, 310),
+    _random_words(4, 8, 10, 48),
+]
+CLOSED_FORM_IDS = ["rank2-len1-7", "rank3-len6-10", "rank4-len8"]
+
+
+@pytest.mark.parametrize("words", CLOSED_FORM_WORDS, ids=CLOSED_FORM_IDS)
 def test_closed_form_matches_the_exact_lp(words):
     for w in words:
         if is_proper_power(w):
@@ -89,6 +97,14 @@ FOUND = [
     "a b a^-1 b^-1", "a^2 b^2", "a b a b^-1", "a b c a^-1 b^-1 c^-1", "aaBabaaBBAAB",
     "AACCBB", "aBaCbc", "aCaCBB", "AAcBBC", "ABCACb", "aBcBac",
 ]
+
+
+@pytest.mark.parametrize("words", CLOSED_FORM_WORDS, ids=CLOSED_FORM_IDS)
+def test_corner_pairs_count_the_whitehead_graph(words):
+    for w in words:
+        edges = Counter(tuple(sorted(e, key=letter_key)) for e in whitehead_graph(w))
+        assert cyclecover._corner_pairs(w) == sorted(
+            edges.items(), key=lambda item: word_key(item[0])), str(w)
 
 
 @pytest.mark.parametrize("text", PAPER_POSITIVE)
@@ -155,9 +171,10 @@ def test_inconclusive_word_has_positive_optimum():
 
 
 def test_check_reports_the_lp_after_the_follower_obstruction():
-    assert check_polygonal(cyclic_word("a b a b^2 a b^3")).payload["evidence"] == (
-        "follower-obstruction"
-    )
+    # the follower-obstructed example of the paper gets the LP's evidence
+    w = cyclic_word("a b a b^2 a b^3")
+    payload = check_polygonal(w).payload
+    assert payload["evidence"] == "cycle-cover-lp" and verify_dual(w, payload["dual"])
     verdict = check_polygonal(cyclic_word("aabccc"))
     assert verdict.status == "not-polygonal" and verdict.exit_code == 1
     assert verdict.payload["evidence"] == "cycle-cover-lp"

@@ -50,7 +50,7 @@ CHECK_PINS = [
     ("a^2 (a^-1)^b a a^b", 0,
      "665d96a5d8f4d37585201f631aefb08d7eca2428c053b6dea587ce65d28b86a6"),
     ("a b a b^2 a b^3", 1,
-     "d2b8fafaee0f9a943aa94909c88dbbf812a8cfe02a8c9e5c120c32f021e2b9a0"),
+     "87b8e0a7feea3132548ac671fdfdbdbd374ba47337a6752a383209303c4f2298"),
     (TN_144, 0, "609cb3bb1af5d5319f38832cbfed5a89c6057e5f26eb5f2ae9db726065317232"),
     (ISOLATED_B_12, 0, "23d5555daef2cd4d084a382da2240d713266a7b0ff7f1dcbf0c56d9d60809976"),
     (HEIGHT_ONE_4, 0, "88214131f19efd0f872e1a0feaca3c9588b337b8f724ddf91e72fb3f1d5f0572"),
