@@ -26,18 +26,20 @@ would give one class two g-edges the same way, which is not legal.  The
 search glues only usable pairs, so no free slot is ever blocked.
 
 The least unpaired slot is branched on, with its partners in ascending
-order.  After each pair the search re-examines the free slots whose
-usable partners that pair may have cut (those with an end in a merged
-vertex class, and those that had counted on a slot just glued): it
-backtracks as soon as one has no usable partner left, and places every
-slot with exactly one, which may force more.  Such a forced pair is the
-slot's only option in every completion below the branch, so the
-completions are still met in lexicographic order of the partner array P
-(P[s] is the slot glued to s): all completions below a branch share its
-prefix and forced pairs, and siblings differ first at the branch slot.
-A gluing that is legal but not usable belongs to no completion, so the
-look-ahead cuts only subtrees without one: the completions, and their
-order, are those of the search that tests legality alone.
+order.  Each free slot watches two usable partners.  After each glued
+pair, one pass over the slots re-examines the free slots with an end in
+a class the pair merged and those watching a slot with such an end; no
+other watch can lapse, as a pair's usability reads only the classes of
+its slots' ends and whether its slots are free.  The search backtracks
+as soon as a slot has no usable partner left, and places every slot with
+exactly one, which may force more.  Such a forced pair is the slot's
+only option in every completion below the branch, so the completions are
+still met in lexicographic order of the partner array P (P[s] is the
+slot glued to s): all completions below a branch share its prefix and
+forced pairs, and siblings differ first at the branch slot.  A gluing
+that is legal but not usable belongs to no completion, so the look-ahead
+cuts only subtrees without one: the completions, and their order, are
+those of the search that tests legality alone.
 
 The group G of a configuration permutes the disks of equal power
 and rotates each disk's base point by multiples of |w|: as w is not a
@@ -181,12 +183,11 @@ class _Backtracker:
     total, legal pairing that is the lex-leader of its G-orbit, in
     lexicographic order of P, without judging chi.
 
-    Vertices are named by slots: vertex v starts slot v and ends slot
-    prv[v].  Each root of the rollback union-find of vertex classes holds
-    two generator masks, the edges entering the class and those leaving
-    it, and two counts per generator, the free slots whose tail lies in
-    the class and those whose head does; the classes are threaded on
-    circular ``link`` lists.  Generator k owns the k-th field of
+    Vertices are named by slots: vertex v starts slot v.  Each root of
+    the rollback union-find of vertex classes holds two generator masks,
+    the edges entering the class and those leaving it, and two counts per
+    generator, the free slots whose tail lies in the class and those
+    whose head does.  Generator k owns the k-th field of
     ``total.bit_length()`` bits in one int: a mask holds 1 in the field's
     lowest bit and a count holds the number, so a merge adds the counts,
     a glued pair subtracts its two ends (its ``bit``, twice), and
@@ -194,29 +195,32 @@ class _Backtracker:
     change (a pair placed, a merge, a mask widened, a count changed) goes
     on a trail, and backtracking pops the trail to a mark.
 
-    Each slot watches two of its usable partners.  A watch that lapses is
-    moved to another usable partner; when there is none it stays where it
-    was, so that the pair it names, cut at the current level, is usable
-    again once that level is undone.  A watch moves only to a partner
-    usable in a state that contains every state the search can backtrack
-    to while the slot is free; usability only shrinks, so no watch is
-    ever undone.  The look-ahead keeps the branch order and the
+    Each slot watches two of its usable partners.  After a gluing,
+    ``_touched`` finds the free slots to re-examine: those with an end in
+    one of the two merged classes, or watching a slot with one (the glued
+    two have one).  No lapsed watch is missed: a pair's usability changes
+    only through the merged classes, or when a partner is glued.  A watch
+    that lapses is moved to another usable partner; when there is none it
+    stays where it was, so that the pair it names, cut at the current
+    level, is usable again once that level is undone.  A watch moves only
+    to a partner usable in a state that contains every state the search
+    can backtrack to while the slot is free; usability only shrinks, so no
+    watch is ever undone.  The look-ahead keeps the branch order and the
     lex-leader cut, and cuts only subtrees with no completion, so the
     completions come in the same order as without it; only nodes fall.
     """
 
     def __init__(self, w, disks, deadline):
         self.deadline, self.work, self.nodes, self.disks = deadline, 0, 0, disks
-        n, letters, key, prv, nxt = len(w), [], [], [], []
+        n, letters, key, nxt = len(w), [], [], []
         for d in disks:
             base = len(letters)
             letters += d.boundary_letters()
             key += list(range(base, base + n)) * (d.size // n)  # equal keys: a cut pair
-            prv += [base + d.size - 1, *range(base, base + d.size - 1)]
             nxt += [*range(base + 1, base + d.size), base]
             self._tick(d.size)
         self.total = total = len(letters)
-        self.key, self.prv = key, prv
+        self.key = key
         width = total.bit_length()  # a field holds any count of slots
         self.full = (1 << width) - 1
         self.tails, self.heads = [0] * total, [0] * total  # per root: free slots' ends
@@ -234,16 +238,10 @@ class _Backtracker:
         self.group = _symmetries(w, disks, self._tick)
         self.partner = [-1] * total
         self.parent = list(range(total))
-        self.link = list(range(total))  # circular list of each class's vertices
         self.rank_uf = [0] * total
-        self.in_mask = [0] * total  # per root: generators entering the class
-        self.out_mask = [0] * total  # per root: generators leaving it
+        self.in_mask, self.out_mask = [0] * total, [0] * total  # per root: edges entering, leaving
         self.paired, self.trail = [], []  # slots placed first in a pair; merges
-        # Watch k = 2s + i is the i-th partner slot s watches, watch[k].  The
-        # watches on one slot t form a list: first[t], then watch_next[k].
-        self.watch = [-1] * (2 * total)
-        self.watch_next, self.watch_prev = [-1] * (2 * total), [-1] * (2 * total)
-        self.first = [-1] * total
+        self.watch = [-1] * (2 * total)  # watch[2s + i]: the i-th partner s watches
         self._tick(total)
 
     def _find(self, v):
@@ -314,9 +312,8 @@ class _Backtracker:
         """Glue the usable pair s, t: merge the classes of their tails and
         of their heads, record the glued edge in both, and take s and t
         out of the free-slot counts."""
-        parent, rank, in_m, out_m, tails, heads, link = (
-            self.parent, self.rank_uf, self.in_mask, self.out_mask,
-            self.tails, self.heads, self.link)
+        parent, rank, in_m, out_m, tails, heads = (
+            self.parent, self.rank_uf, self.in_mask, self.out_mask, self.tails, self.heads)
         bit = self.bit[s]
         for u, v, in_bit, out_bit in ((self.tail[s], self.tail[t], 0, bit),
                                       (self.head[s], self.head[t], bit, 0)):
@@ -327,13 +324,10 @@ class _Backtracker:
             if x != y:
                 parent[y] = x
                 rank[x] += rank[x] == rank[y]
-                in_m[x] |= in_m[y]
-                out_m[x] |= out_m[y]
                 tails[x] += tails[y]
                 heads[x] += heads[y]
-                link[x], link[y] = link[y], link[x]
-            in_m[x] |= in_bit
-            out_m[x] |= out_bit
+            in_m[x] |= in_m[y] | in_bit
+            out_m[x] |= out_m[y] | out_bit
             tails[x] -= 2 * out_bit
             heads[x] -= 2 * in_bit
         self.partner[s], self.partner[t] = t, s
@@ -351,33 +345,21 @@ class _Backtracker:
             self.tails[x], self.heads[x] = tails, heads
             if x != y:
                 self.parent[y] = y
-                self.link[x], self.link[y] = self.link[y], self.link[x]
 
-    def _touched(self, s, t):
-        """The free slots whose watches the pair s, t may have made lapse:
-        those with an end in the class of s's tail or head, and those
-        watching one of these or s or t."""
-        partner, prv, link, first, watch_next = (
-            self.partner, self.prv, self.link, self.first, self.watch_next)
-        touched = [s, t]
-        for v in {self._find(self.tail[s]), self._find(self.head[s])}:
-            root = v
-            while True:
-                touched += (v, prv[v])
-                v = link[v]
-                if v == root:
-                    break
-        self._tick(len(touched))
-        dirty = set()
-        for u in touched:
-            if partner[u] < 0:
-                dirty.add(u)
-            k = first[u]
-            while k >= 0:
-                dirty.add(k >> 1)
-                k = watch_next[k]
-        self._tick(len(dirty))
-        return dirty
+    def _touched(self, s):
+        """The free slots to re-examine once s is glued (class docstring)."""
+        parent, inside = self.parent, []
+        x, y = self._find(self.tail[s]), self._find(self.head[s])  # the merged classes
+        for v in range(self.total):
+            while parent[v] != v:
+                v = parent[v]
+            inside.append(v == x or v == y)
+        near = [inside[a] or inside[b] for a, b in zip(self.tail, self.head)]
+        near.append(False)  # near[-1]: a watch of -1 names no slot
+        self._tick(self.total)
+        watch = self.watch
+        return [u for u, p in enumerate(self.partner)
+                if p < 0 and (near[u] or near[watch[2 * u]] or near[watch[2 * u + 1]])]
 
     def _rewatch(self, s):
         """The usable partners among s's watches, after each lapsed watch has
@@ -398,28 +380,12 @@ class _Backtracker:
             for step in range(1, n):
                 u = cands[(start + step) % n]
                 if u != other and partner[u] < 0 and key[u] != key[s] and self._usable(s, u):
-                    self._move_watch(k, u)
+                    watch[k] = u
                     usable.append(u)
                     break
             work += step
         self._tick(work)
         return usable
-
-    def _move_watch(self, k, u):
-        """Point watch k at slot u: off the list of its old slot, onto u's."""
-        watch, first, after, before = self.watch, self.first, self.watch_next, self.watch_prev
-        t = watch[k]
-        if t >= 0:
-            if before[k] >= 0:
-                after[before[k]] = after[k]
-            else:
-                first[t] = after[k]
-            if after[k] >= 0:
-                before[after[k]] = before[k]
-        after[k], before[k], watch[k] = first[u], -1, u
-        if first[u] >= 0:
-            before[first[u]] = k
-        first[u] = k
 
     def _propagate(self, todo, dirty):
         """Place the pairs of ``todo`` and every pair they force, until each
@@ -428,12 +394,11 @@ class _Backtracker:
         partner = self.partner
         while True:
             for s in dirty:
-                if partner[s] < 0:
-                    usable = self._rewatch(s)
-                    if len(usable) < 2:
-                        if not usable:
-                            return False
-                        todo.append((s, usable[0]))
+                usable = self._rewatch(s)
+                if len(usable) < 2:
+                    if not usable:
+                        return False
+                    todo.append((s, usable[0]))
             if not todo:
                 return True
             s, t = todo.pop()
@@ -443,7 +408,7 @@ class _Backtracker:
             if partner[t] >= 0 or not self._usable(s, t):
                 return False
             self._join(s, t)
-            dirty = self._touched(s, t)
+            dirty = self._touched(s)
 
     def _agreement(self, watch):
         """The (g, g^-1, i) of ``watch`` still undecided, each i advanced,

@@ -408,9 +408,9 @@ def test_cover_requires_the_certificate_to_recertify(tmp_path, capsys):
     assert run_main("cover", str(path)) == 0
 
 
-@pytest.mark.parametrize("command", [("render",), ("render", "--cover")])
+@pytest.mark.parametrize("command", [("render",), ("render", "--cover"), ("cover",)])
 def test_oversized_certificate_is_refused(tmp_path, capsys, command):
-    # 4 * 250001 slots, just past the bound; `cover` loads it the same way
+    # 4 * 250001 slots, just past the bound
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"word": "abAB", "rank": 2, "disks": [{"power": 250001}],
                                 "pairing": [], "verdict": TORUS_VERDICT}))

@@ -129,8 +129,8 @@ def test_obstructed_words_never_found_small_bounds():
 
 def test_time_budget_reports_timeout():
     # each configuration reads the clock first after _CLOCK_WORK (32,768)
-    # units of work; (1,), (2,) and (1, 1) end in 179, 2,590 and 2,993, and
-    # (1, 2) exhausts in 34,466, so the first reading, in (1, 2), ends it
+    # units of work; (1,), (2,) and (1, 1) end in 152, 2,313 and 2,687, and
+    # (1, 2) exhausts in 33,058, so the first reading, in (1, 2), ends it
     w = cyclic_word("aabbABAb")
     first_three = decide_polygonal(w, SearchBounds(max_disks=2, max_power=2, max_edges=16))
     assert isinstance(first_three, ExhaustedWithin)
@@ -344,3 +344,32 @@ def test_deadline_covers_the_search_setup(monkeypatch):
     w = cyclic_word("(ab)^50000 aB")
     out = decide_polygonal(w, SearchBounds(max_disks=1, max_power=1, time_budget=0.5))
     assert out == TimedOut(out.bounds, 0, 0)
+
+
+@pytest.mark.parametrize("text", [
+    "aabbABAb", "aBBBBBAB", "abaBAbabbbAb", "AABAAbaBBBAB", "aaBABabb",
+    "a b c a^-1 b^-1 c^-1", "a (a^2)^b",
+])
+def test_propagation_leaves_two_usable_watches_on_every_free_slot(monkeypatch, text):
+    # after every propagation that succeeds, whatever pairs it placed and
+    # whichever slots it re-examined, each free slot watches two distinct
+    # free slots it may still be glued to
+    propagations = []
+
+    class Checked(search._Backtracker):
+        def _propagate(self, todo, dirty):
+            if not super()._propagate(todo, dirty):
+                return False
+            for s in range(self.total):
+                if self.partner[s] < 0:
+                    t, u = self.watch[2 * s], self.watch[2 * s + 1]
+                    assert t != u and min(t, u) >= 0, (text, s)
+                    for v in (t, u):
+                        assert self.partner[v] < 0 and self.key[v] != self.key[s], (text, s)
+                        assert self.bit[v] == self.bit[s] and self._usable(s, v), (text, s)
+            propagations.append(self.total)
+            return True
+
+    monkeypatch.setattr(search, "_Backtracker", Checked)
+    decide_polygonal(cyclic_word(text), SearchBounds(max_disks=2, max_power=2))
+    assert propagations
