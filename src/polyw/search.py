@@ -19,11 +19,12 @@ enters: it has no legal partner, so no completion.  Legal partners are
 usable when their gluing blocks no other free slot, a one-step look-ahead.
 Each root also counts, per generator, the free slots whose tail lies in
 its class and those whose head does, so only the classes the gluing
-merges are read.  Usability is symmetric too, and it only shrinks: a
-pair that would block a free slot u still blocks it after more pairs,
-whose classes and edges only grow, and once u is glued the same pair
-would give one class two g-edges the same way, which is not legal.  The
-search glues only usable pairs, so no free slot is ever blocked.
+merges are read, from one walk up the four root chains of the pair's
+ends.  Usability is symmetric too, and it only shrinks: a pair that
+would block a free slot u still blocks it after more pairs, whose
+classes and edges only grow, and once u is glued the same pair would
+give one class two g-edges the same way, which is not legal.  The search
+glues only usable pairs, so no free slot is ever blocked.
 
 The least unpaired slot is branched on, with its partners in ascending
 order.  Each free slot watches two usable partners.  After each glued
@@ -191,9 +192,11 @@ class _Backtracker:
     ``total.bit_length()`` bits in one int: a mask holds 1 in the field's
     lowest bit and a count holds the number, so a merge adds the counts,
     a glued pair subtracts its two ends (its ``bit``, twice), and
-    ``mask * full`` selects the counts of the mask's generators.  Every
-    change (a pair placed, a merge, a mask widened, a count changed) goes
-    on a trail, and backtracking pops the trail to a mark.
+    ``mask * full`` selects the counts of the mask's generators.
+    ``_merge`` walks the four root chains of a candidate pair once, and
+    ``_legal`` and ``_usable`` read only its answer.  Every change (a pair
+    placed, a merge, a mask widened, a count changed) goes on a trail, and
+    backtracking pops the trail to a mark.
 
     Each slot watches two of its usable partners.  After a gluing,
     ``_touched`` finds the free slots to re-examine: those with an end in
@@ -250,11 +253,13 @@ class _Backtracker:
             v = parent[v]
         return v
 
-    def _legal(self, s, t):
-        """Whether the gluing of s and t keeps the quotient immersed: the
-        classes of their tails merge, and gain the glued edge leaving them,
-        with no generator leaving or entering twice; then those of their
-        heads.  The rule is symmetric in s and t."""
+    def _merge(self, s, t):
+        """The roots a, b of s's and t's tail classes and c, d of their head
+        classes, each chain walked once, then the in- and out-masks of the
+        tail and head classes their gluing makes (one class if they share a
+        root); None unless it is immersed: the tail classes merge and gain
+        the glued edge leaving them, with no generator leaving or entering
+        twice, then the head classes.  Symmetric in s and t."""
         parent, in_m, out_m, bit = self.parent, self.in_mask, self.out_mask, self.bit[s]
         a, b, c, d = self.tail[s], self.tail[t], self.head[s], self.head[t]
         while parent[a] != a:
@@ -268,45 +273,47 @@ class _Backtracker:
         ins, outs = in_m[a], out_m[a]
         if a != b:
             if ins & in_m[b] or outs & out_m[b]:
-                return False
+                return None
             ins, outs = ins | in_m[b], outs | out_m[b]
         if outs & bit:
-            return False
+            return None
         outs |= bit
         c_tail, d_tail = c == a or c == b, d == a or d == b
         c_in, c_out = (ins, outs) if c_tail else (in_m[c], out_m[c])
         if c != d and not (c_tail and d_tail):
             d_in, d_out = (ins, outs) if d_tail else (in_m[d], out_m[d])
             if c_in & d_in or c_out & d_out:
-                return False
-            c_in |= d_in
-        return not c_in & bit
+                return None
+            c_in, c_out = c_in | d_in, c_out | d_out
+        if c_in & bit:
+            return None
+        return a, b, c, d, ins, outs, c_in | bit, c_out
+
+    def _legal(self, s, t):
+        """Whether the gluing of s and t keeps the quotient immersed."""
+        return self._merge(s, t) is not None
 
     def _usable(self, s, t):
         """Whether the gluing of s and t is legal and blocks no other free
-        slot: after it, no free slot of a generator may have its tail in a
-        class that an edge of that generator leaves, or its head in one
-        that such an edge enters.  Only the classes the gluing merges
-        change, so only they are read.  The rule is symmetric in s and t."""
-        if not self._legal(s, t):
+        slot: after it, no free slot of a generator has its tail in a class
+        an edge of that generator leaves, or its head in one such an edge
+        enters.  Only the roots ``_merge`` found are read.  Symmetric."""
+        if (merged := self._merge(s, t)) is None:
             return False
-        find, in_m, out_m, tails, heads = (
-            self._find, self.in_mask, self.out_mask, self.tails, self.heads)
-        bit, full = self.bit[s], self.full
-        tail_roots = {find(self.tail[s]), find(self.tail[t])}
-        head_roots = {find(self.head[s]), find(self.head[t])}
-        if tail_roots & head_roots:
-            merged = ((tail_roots | head_roots, bit, bit),)
-        else:
-            merged = ((tail_roots, 0, bit), (head_roots, bit, 0))
-        for roots, ins, outs in merged:  # the glued edge enters, leaves
-            free_tails, free_heads = -2 * outs, -2 * ins  # s and t are glued
-            for r in roots:
-                ins, outs = ins | in_m[r], outs | out_m[r]
-                free_tails, free_heads = free_tails + tails[r], free_heads + heads[r]
-            if free_tails & outs * full or free_heads & ins * full:
+        a, b, c, d, tail_in, tail_out, head_in, head_out = merged
+        tails, heads, full, glued = self.tails, self.heads, self.full, 2 * self.bit[s]
+        free_tails, free_heads = tails[a] - glued, heads[a]  # s and t are glued
+        if b != a:
+            free_tails, free_heads = free_tails + tails[b], free_heads + heads[b]
+        if not (c == a or c == b or d == a or d == b):  # two classes: the tail one first
+            if free_tails & tail_out * full or free_heads & tail_in * full:
                 return False
-        return True
+            free_tails = free_heads = 0
+        if c != a and c != b:  # the head roots not counted yet
+            free_tails, free_heads = free_tails + tails[c], free_heads + heads[c]
+        if d != a and d != b and d != c:
+            free_tails, free_heads = free_tails + tails[d], free_heads + heads[d]
+        return not (free_tails & head_out * full or (free_heads - glued) & head_in * full)
 
     def _join(self, s, t):
         """Glue the usable pair s, t: merge the classes of their tails and
@@ -364,27 +371,30 @@ class _Backtracker:
     def _rewatch(self, s):
         """The usable partners among s's watches, after each lapsed watch has
         been moved to a usable partner not watched yet, where there is one.
-        The scan starts after s in its generator's cyclic slot order, not
-        after the lapsed watch: watches moved on from one slot would
-        otherwise pile onto the next candidate the branch tries."""
+        One scan from s in its generator's cyclic slot order (not from a
+        lapsed watch: moved watches would pile onto the branch's next
+        candidate) gives the lapsed watches the first usable partners it
+        meets.  A second scan would restart there in the same state and pass
+        over the first's pick, so the watches chosen are those of two scans."""
         watch, partner, key = self.watch, self.partner, self.key
-        cands = self.by_label[self.bit[s]]
-        usable, work = [], 2
+        usable, lapsed, step = [], [], 0
         for k in (2 * s, 2 * s + 1):
             t = watch[k]
             if t >= 0 and partner[t] < 0 and self._usable(s, t):
                 usable.append(t)
-                continue
-            other, n = watch[k ^ 1], len(cands)
-            start, step = self.label_index[s], 0
+            else:
+                lapsed.append(k)
+        if lapsed:
+            cands, kept = self.by_label[self.bit[s]], usable[0] if usable else -1
+            n, start = len(cands), self.label_index[s]
             for step in range(1, n):
                 u = cands[(start + step) % n]
-                if u != other and partner[u] < 0 and key[u] != key[s] and self._usable(s, u):
-                    watch[k] = u
+                if u != kept and partner[u] < 0 and key[u] != key[s] and self._usable(s, u):
+                    watch[lapsed.pop(0)] = u
                     usable.append(u)
-                    break
-            work += step
-        self._tick(work)
+                    if not lapsed:
+                        break
+        self._tick(2 + step)
         return usable
 
     def _propagate(self, todo, dirty):

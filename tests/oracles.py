@@ -3,8 +3,9 @@
 These deliberately re-derive membership from the definitions (set
 partitions, perfect matchings, literal modular-disjointness) with no
 pruning or memoization, so they share no logic with the library's
-backtracking implementations.  The exception is
-``ForwardCheckingBacktracker``, the library's search less one test.
+backtracking implementations.  The exceptions are
+``ForwardCheckingBacktracker``, the library's search less one test, and
+``TwoScanBacktracker``, the library's search with its earlier rewatch.
 """
 
 import functools
@@ -943,6 +944,33 @@ class ForwardCheckingBacktracker(_Backtracker):
     order, through more nodes."""
 
     _usable = _Backtracker._legal
+
+
+class TwoScanBacktracker(_Backtracker):
+    """``polyw.search._Backtracker`` with its rewatch as it was: one scan
+    of the candidate list per lapsed watch, each from the slot after s, the
+    second passing over the partner the first chose."""
+
+    def _rewatch(self, s):
+        watch, partner, key = self.watch, self.partner, self.key
+        cands = self.by_label[self.bit[s]]
+        usable, work = [], 2
+        for k in (2 * s, 2 * s + 1):
+            t = watch[k]
+            if t >= 0 and partner[t] < 0 and self._usable(s, t):
+                usable.append(t)
+                continue
+            other, n = watch[k ^ 1], len(cands)
+            start, step = self.label_index[s], 0
+            for step in range(1, n):
+                u = cands[(start + step) % n]
+                if u != other and partner[u] < 0 and key[u] != key[s] and self._usable(s, u):
+                    watch[k] = u
+                    usable.append(u)
+                    break
+            work += step
+        self._tick(work)
+        return usable
 
 
 def follower_obstruction_reference(w):

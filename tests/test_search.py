@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     ForwardCheckingBacktracker,
     ReferenceBacktracker,
+    TwoScanBacktracker,
     certified_pairings,
     power_configs_by_filter,
     rank2_cyclic_words,
@@ -127,10 +128,11 @@ def test_obstructed_words_never_found_small_bounds():
     assert checked > 20
 
 
-def test_time_budget_reports_timeout():
-    # each configuration reads the clock first after _CLOCK_WORK (32,768)
-    # units of work; (1,), (2,) and (1, 1) end in 152, 2,313 and 2,687, and
-    # (1, 2) exhausts in 33,058, so the first reading, in (1, 2), ends it
+def test_time_budget_reports_timeout(monkeypatch):
+    # each configuration reads the clock first after _CLOCK_WORK units of
+    # work, here 8,192; (1,), (2,) and (1, 1) end in 129, 2,043 and 2,420,
+    # and (1, 2) exhausts in 29,466, so the first reading, in (1, 2), ends it
+    monkeypatch.setattr(search, "_CLOCK_WORK", 1 << 13)
     w = cyclic_word("aabbABAb")
     first_three = decide_polygonal(w, SearchBounds(max_disks=2, max_power=2, max_edges=16))
     assert isinstance(first_three, ExhaustedWithin)
@@ -373,3 +375,31 @@ def test_propagation_leaves_two_usable_watches_on_every_free_slot(monkeypatch, t
     monkeypatch.setattr(search, "_Backtracker", Checked)
     decide_polygonal(cyclic_word(text), SearchBounds(max_disks=2, max_power=2))
     assert propagations
+
+
+@pytest.mark.parametrize("text", [
+    "aabbABAb", "aBBBBBAB", "abaBAbabbbAb", "AABAAbaBBBAB", "aaBABabb",
+    "a b c a^-1 b^-1 c^-1", "a (a^2)^b",
+])
+def test_one_rewatch_scan_chooses_the_watches_of_one_scan_per_lapsed_watch(monkeypatch, text):
+    # the watches after every propagation that succeeds, and the nodes, are
+    # those of the rewatch that scanned the candidates once per lapsed watch
+    def watches(base):
+        seen = []
+
+        class Recorded(base):
+            def _propagate(self, todo, dirty):
+                if not super()._propagate(todo, dirty):
+                    return False
+                seen.append(list(self.watch))
+                return True
+
+        monkeypatch.setattr(search, "_Backtracker", Recorded)
+        progress = search._Progress()
+        listing = search._certified(cyclic_word(text), SearchBounds(max_disks=2, max_power=2), progress)
+        next(listing, None)
+        listing.close()
+        return seen, progress.nodes
+
+    one_scan, two_scans = watches(search._Backtracker), watches(TwoScanBacktracker)
+    assert one_scan[0] and one_scan == two_scans
