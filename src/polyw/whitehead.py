@@ -6,11 +6,23 @@ a^-1 not in A, sending x to x, xa, a^-1 x or a^-1 x a according to which
 of x, x^-1 lie in A.  Greedy descent through multiplier moves reaches a
 shortest representative of the automorphism orbit (peak reduction), and
 the length-preserving moves connect all shortest representatives.
+
+A move's image length is read off the Whitehead graph of w, which has an
+edge {x, y^-1} for each cyclically adjacent pair x y:
+
+    |(A, a) w| = |w| + (edges with exactly one end in A) - deg(a)
+
+(J. H. C. Whitehead, *On equivalent sets of elements in a free group*,
+Ann. Math. 1936; Lyndon-Schupp, *Combinatorial Group Theory*, I.4).  So
+the descent and the orbit walk score every move from one count of the
+graph and build only the images they keep.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -40,8 +52,8 @@ DEFAULT_ORBIT_CAP = 10 ** 6
 # The move lists grow past use with the rank: 2r*4^(r-1) multiplier moves
 # (12276 at rank 6, 262128 at rank 8) and 2^r*r! signed permutations.
 MAX_MOVE_RANK = 6
-# Letters the move images of one minimization may hold in all, about 2 s of
-# work; random rank-3 words of length 12 need under 10,000.
+# Letters the move images of one minimization would hold in all, counted
+# from the move scores; random rank-3 words of length 12 need under 10,000.
 MAX_MOVE_WORK = 1 << 20
 
 
@@ -108,7 +120,13 @@ def all_first_kind_moves(rank):
 
 
 def all_second_kind_moves(rank):
+    """The multiplier moves in ``sort_key`` order, one tuple per rank."""
     _check_rank(rank)
+    return _second_kind_moves(rank)
+
+
+@functools.lru_cache(maxsize=None)
+def _second_kind_moves(rank):
     moves = []
     for a in signed_letters(rank):
         rest = [x for x in signed_letters(rank) if x != a and x != -a]
@@ -118,7 +136,22 @@ def all_second_kind_moves(rank):
                 continue
             moves.append(SecondKindMove(a, members))
     moves.sort(key=SecondKindMove.sort_key)
-    return moves
+    return tuple(moves)
+
+
+def _image_lengths(w, moves):
+    """Yield ``len(move.apply(w))`` for each move in turn, by Whitehead's
+    length formula on one count of the Whitehead graph of ``w``."""
+    edges = [(*e, c) for e, c in Counter(whitehead_graph(w)).items()]
+    degree = Counter()
+    for x, y, c in edges:
+        degree[x] += c
+        degree[y] += c
+    n = len(w)
+    for move in moves:
+        members = move.members
+        cut = sum(c for x, y, c in edges if (x in members) != (y in members))
+        yield n + cut - degree[move.multiplier]
 
 
 @dataclass(frozen=True)
@@ -138,9 +171,11 @@ class MinimizationTrace:
 def minimize(w):
     """Greedy descent to a shortest word in the automorphism orbit.
 
-    At each step every multiplier move is tried; among the moves achieving
-    the best shortening the least one (fixed move encoding) is applied.
-    Past ``MAX_MOVE_WORK`` letters of images it raises ResourceCapExceeded.
+    At each step every multiplier move is scored with its image length
+    (Whitehead's formula, no image built); among the moves achieving the
+    best shortening the least one (fixed move encoding) is applied, and
+    only its image is built.  Past ``MAX_MOVE_WORK`` letters of scored
+    images it raises ResourceCapExceeded.
     """
     moves = all_second_kind_moves(w.rank)
     steps = []
@@ -148,18 +183,18 @@ def minimize(w):
     work = 0
     while True:
         best_move = None
-        best_word = None
-        for move in moves:  # already sorted, so first strict improvement is least
-            image = move.apply(current)
-            work += len(image)
+        best_length = len(current)
+        # already sorted, so the first strict improvement is the least move
+        for move, length in zip(moves, _image_lengths(current, moves)):
+            work += length
             if work > MAX_MOVE_WORK:
                 raise ResourceCapExceeded("minimization past %d letters" % MAX_MOVE_WORK)
-            if best_word is None or len(image) < len(best_word):
-                best_move, best_word = move, image
-        if best_word is None or len(best_word) >= len(current):
+            if length < best_length:
+                best_move, best_length = move, length
+        if best_move is None:
             break
-        steps.append((best_move, best_word))
-        current = best_word
+        current = best_move.apply(current)
+        steps.append((best_move, current))
     return MinimizationTrace(w, tuple(steps), current)
 
 
@@ -185,14 +220,13 @@ def minimal_orbit(w, cap=DEFAULT_ORBIT_CAP):
         nxt = []
         for word in frontier:
             images = [transform(word, rel) for rel in first]
-            for move in second:
-                image = move.apply(word)
-                if len(image) < target_len:
+            for move, length in zip(second, _image_lengths(word, second)):
+                if length < target_len:
                     raise NotMinimalError(
                         "%s is not minimal: %s shortens it" % (word, move)
                     )
-                if len(image) == target_len:
-                    images.append(image)
+                if length == target_len:
+                    images.append(move.apply(word))
             for image in images:
                 rep = _class_rep(image)
                 if rep not in seen:

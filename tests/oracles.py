@@ -319,6 +319,35 @@ def diskbusting_by_orbit(w):
     return all(m.support() == full for m in minimal_orbit(minimize(w).final))
 
 
+def reference_minimize(w):
+    """Greedy Whitehead descent that builds every move's image to read its
+    length: the loop ``whitehead.minimize`` scored by Whitehead's formula
+    replaces.  Same move order, tie rule, work count and cap."""
+    from polyw import whitehead
+    from polyw.invariants import ResourceCapExceeded
+
+    moves = whitehead.all_second_kind_moves(w.rank)
+    steps = []
+    current = w
+    work = 0
+    while True:
+        best_move = None
+        best_word = None
+        for move in moves:
+            image = move.apply(current)
+            work += len(image)
+            if work > whitehead.MAX_MOVE_WORK:
+                raise ResourceCapExceeded(
+                    "minimization past %d letters" % whitehead.MAX_MOVE_WORK)
+            if best_word is None or len(image) < len(best_word):
+                best_move, best_word = move, image
+        if best_word is None or len(best_word) >= len(current):
+            break
+        steps.append((best_move, best_word))
+        current = best_word
+    return whitehead.MinimizationTrace(w, tuple(steps), current)
+
+
 def height_one_by_transport(w):
     """The height-one certificate by the route that exchanges the run
     families outside the word: construct on the b-flipped word, where the

@@ -1,9 +1,11 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import diskbusting_by_orbit
+from oracles import diskbusting_by_orbit, reference_minimize
 from polyw import whitehead
 from polyw.invariants import ResourceCapExceeded
 from polyw.words import (
@@ -24,7 +26,36 @@ from polyw.whitehead import (
     is_diskbusting,
     minimal_orbit,
     minimize,
+    signed_letters,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import corpus  # noqa: E402
+
+
+def random_cyclic_word(rng, rank, length):
+    letters = [rng.choice(signed_letters(rank))]
+    while len(letters) < length:
+        x = rng.choice(signed_letters(rank))
+        if x != -letters[-1] and (len(letters) < length - 1 or x != -letters[0]):
+            letters.append(x)
+    return CyclicWord(rank, tuple(letters))
+
+
+def random_words(seed, ranks, lengths, per_cell):
+    rng = random.Random(seed)
+    return [random_cyclic_word(rng, rank, length)
+            for rank in ranks for length in lengths for _ in range(per_cell)]
+
+
+TOOLS_WORDS = [CyclicWord(3, w) for _, w in corpus.draw_pool(corpus.TOOLS_POOL, 3, "tools")]
+
+
+def total_move_work(w):
+    """Letters of every move image the descent from ``w`` scores."""
+    moves = all_second_kind_moves(w.rank)
+    trace = reference_minimize(w)
+    return sum(len(m.apply(v)) for v in [w] + [v for _, v in trace.steps] for m in moves)
 
 
 def test_minimize_example_3_1():
@@ -64,6 +95,38 @@ def test_minimize_never_lengthens_and_is_stable():
         assert len(trace.final) <= len(w)
         again = minimize(trace.final)
         assert len(again.final) == len(trace.final)
+
+
+def test_move_scores_are_image_lengths():
+    words = random_words(1, range(1, 5), range(1, 15), 2)
+    assert min(map(len, words)) == 1
+    for w in words:
+        moves = all_second_kind_moves(w.rank)
+        assert list(whitehead._image_lengths(w, moves)) == [len(m.apply(w)) for m in moves], w
+
+
+@pytest.mark.parametrize("words", [
+    random_words(2, range(2, 5), range(1, 13), 3),
+    TOOLS_WORDS,
+], ids=["random-r2-r4", "tools"])
+def test_minimize_takes_the_steps_of_the_reference_descent(words):
+    assert len(words) >= 36
+    for w in words:
+        assert minimize(w) == reference_minimize(w), w
+
+
+@pytest.mark.parametrize("text, work", [
+    ("a b a b^2 a b^3", 264), ("a^2 b^2 c^3 b^-3", 4438), ("abcABC", 1060),
+])
+def test_work_cap_refuses_where_the_reference_does(monkeypatch, text, work):
+    w = cyclic_word(text)
+    assert total_move_work(w) == work
+    monkeypatch.setattr(whitehead, "MAX_MOVE_WORK", work - 1)
+    for descent in (minimize, reference_minimize):
+        with pytest.raises(ResourceCapExceeded, match="past %d letters" % (work - 1)):
+            descent(w)
+    monkeypatch.setattr(whitehead, "MAX_MOVE_WORK", work)
+    assert minimize(w) == reference_minimize(w)
 
 
 def test_minimal_orbit_length_one_rank_two():
@@ -161,6 +224,8 @@ def test_move_inventories():
     # 4 multipliers, each with the 2^2 subsets of the other letters but
     # the empty one, which gives the identity
     assert len(all_second_kind_moves(2)) == 12
+    # built once per rank
+    assert all_second_kind_moves(3) is all_second_kind_moves(3)
 
 
 def test_move_lists_refuse_ranks_past_the_cap(monkeypatch):
