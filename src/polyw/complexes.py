@@ -22,7 +22,6 @@ component, the boundary invariant) is one pass over these lists.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache, cached_property
 from typing import List, Optional, Sequence, Tuple, get_args, get_origin, get_type_hints
@@ -34,6 +33,7 @@ from .words import (
     Relabeling,
     cyclic_word,
     inverse_letters,
+    least_rotation,
     primitive_root,
     rotation_offset,
     transform,
@@ -331,40 +331,32 @@ def check_immersion(S: SurfaceComplex):
 def genus_report(S):
     """(orientable?, genus) of a closed connected surface.
 
-    Orientability is decided by searching a consistent orientation of the
-    faces: flipping face orientations must make the two traversals of each
-    edge run oppositely.
+    Orientability is decided by coloring the faces +-1 in one walk over a
+    signed disk adjacency: flipping face orientations must make the two
+    traversals of each edge run oppositely.  A disk the walk does not
+    reach makes the surface disconnected.
     """
     if not S.closed:
         raise ValueError("genus is reported for closed surfaces only")
-    if len(S.connected_components()) > 1:
-        raise ValueError("genus is reported for connected surfaces only")
-    colors = {}
+    adjacent = [[] for _ in S.disks]
+    for a, b in S.pairing.pairs:
+        # the required product of the two face colors
+        want = -1 if (S.slot_letter(a) > 0) == (S.slot_letter(b) > 0) else 1
+        adjacent[a[0]].append((b[0], want))
+        adjacent[b[0]].append((a[0], want))
+    colors = {0: 1} if S.disks else {}
+    stack = list(colors)
     orientable = True
-    for start in range(S.m):
-        if start in colors:
-            continue
-        colors[start] = 1
-        stack = [start]
-        while stack and orientable:
-            i = stack.pop()
-            for a, b in S.pairing.pairs:
-                if a[0] != i and b[0] != i:
-                    continue
-                sa = 1 if S.slot_letter(a) > 0 else -1
-                sb = 1 if S.slot_letter(b) > 0 else -1
-                want = -sa * sb  # required product of the two face colors
-                ia, ib = a[0], b[0]
-                if ib in colors and ia in colors:
-                    if colors[ia] * colors[ib] != want:
-                        orientable = False
-                        break
-                elif ia in colors:
-                    colors[ib] = want * colors[ia]
-                    stack.append(ib)
-                elif ib in colors:
-                    colors[ia] = want * colors[ib]
-                    stack.append(ia)
+    while stack:
+        i = stack.pop()
+        for k, want in adjacent[i]:
+            if k not in colors:
+                colors[k] = want * colors[i]
+                stack.append(k)
+            elif colors[i] * colors[k] != want:
+                orientable = False
+    if len(colors) < S.m:
+        raise ValueError("genus is reported for connected surfaces only")
     chi = S.euler_characteristic()
     if orientable:
         if chi % 2:
@@ -596,8 +588,10 @@ class LambdaComponent:
 
 
 def _lambda_circles(S: SurfaceComplex):
-    """(sign, slots, vertices, flags) per boundary circle, slots as global
-    indices; see :func:`lambda_components`."""
+    """(sign, slots, vertices, flags, term, start) per boundary circle,
+    slots as global indices; see :func:`lambda_components`.  Circles
+    repeat a few (sign, flags) shapes many times: each shape's term and
+    start are built once."""
     letter, nxt, vertex = S.letter, S.nxt, S.vertex
     b_out = [0] * S.n_vertices
     b_in = [0] * S.n_vertices
@@ -614,7 +608,7 @@ def _lambda_circles(S: SurfaceComplex):
             raise LambdaError("boundary edge with label a%d; expected only a1 free" % label)
     if S.closed:
         raise LambdaError("closed surface has no boundary invariant")
-    out = []
+    shapes, out = {}, []
     for circle in S._circles:
         # orient the circle along the a-arrows
         dirs = {forward == (letter[s] > 0) for s, forward in circle}
@@ -634,7 +628,12 @@ def _lambda_circles(S: SurfaceComplex):
                 sign = 1 if o else -1
         if not any(flags):
             raise LambdaError("boundary circle meets no b-edges")
-        out.append((sign, slots, verts, flags))
+        flags = tuple(flags)
+        shape = shapes.get((sign, flags))
+        if shape is None:
+            marked, runs = _lambda_runs(flags)
+            shape = shapes[sign, flags] = LambdaTerm(sign, runs), marked[least_rotation(runs)]
+        out.append((sign, slots, verts, flags, *shape))
     return out
 
 
@@ -643,21 +642,12 @@ def lambda_components(S: SurfaceComplex):
 
     Every interior edge must carry the b label and every boundary slot the
     a label; on each circle the incident b-edges must point uniformly in
-    or uniformly out, and the a-arrows must orient the circle.
+    or uniformly out, and the a-arrows must orient the circle.  A circle
+    starts at the b-incident arrow where :func:`least_rotation` starts
+    its a-run lengths.
     """
-    terms = {}  # circles repeat a few compositions many times
-    out = []
-    for sign, slots, verts, flags in S.lambda_circles:
-        key = (sign, tuple(flags))
-        known = terms.get(key)
-        if known is None:
-            marked, runs = _lambda_runs(flags)
-            term = LambdaTerm(sign, runs)
-            first = next(i for i in range(len(runs)) if runs[i:] + runs[:i] == term.composition)
-            known = terms[key] = term, marked[first]
-        out.append(LambdaComponent(sign, tuple(map(S._name, slots)), tuple(verts),
-                                   key[1], *known))
-    return out
+    return [LambdaComponent(sign, tuple(map(S._name, slots)), tuple(verts), flags, term, start)
+            for sign, slots, verts, flags, term, start in S.lambda_circles]
 
 
 def boundary_lambda(S: SurfaceComplex) -> LambdaMultiset:
@@ -667,11 +657,7 @@ def boundary_lambda(S: SurfaceComplex) -> LambdaMultiset:
     outgoing, - when all incoming; the composition lists the a-run lengths
     between b-incident vertices, up to rotation.
     """
-    # circles repeat a few compositions many times: build each term once
-    circles = Counter((sign, tuple(flags)) for sign, _s, _v, flags in S.lambda_circles)
-    terms = (t for (sign, flags), k in circles.items()
-             for t in [LambdaTerm(sign, _lambda_runs(flags)[1])] * k)
-    return LambdaMultiset(tuple(terms))
+    return LambdaMultiset(tuple(term for *_circle, term, _start in S.lambda_circles))
 
 
 def transform_certificate(cert: PolygonalityCertificate, rel: Relabeling):

@@ -64,7 +64,6 @@ class CoverGraph:
 
     rank: int
     perms: Tuple[Tuple[int, ...], ...]
-    base: int = 0
 
     def __post_init__(self):
         n = self.degree

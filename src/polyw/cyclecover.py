@@ -3,10 +3,11 @@ count and power.
 
 Corner j of a disk reading w^k joins the dart of the edge arriving along
 x_{j-1} to the dart of the edge leaving along x_j: up to the sign of
-every dart, the edge {x_{j-1}, -x_j} of ``whitehead.whitehead_graph(w)``.
+every dart, the edge {x_{j-1}, -x_j} of the Whitehead graph of w.
 w^-k has the same corners.  The positions j on one dart pair e merge into
-a capacity m_e.  A vertex link of the surface is a cycle of corners, and
-immersion makes its darts distinct.
+a capacity m_e, the edge's count in ``whitehead.whitehead_edges(w)``.  A
+vertex link of the surface is a cycle of corners, and immersion makes its
+darts distinct.
 
 Mirror lemma.  If a link repeats a corner position j, at disks D and D',
 its vertex has only the two darts of j, so slot (D, j) is glued to
@@ -41,27 +42,17 @@ closed form against an exact simplex.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Optional
 
-from .words import is_proper_power, letter_key, letters_to_str, word_key
+from .whitehead import whitehead_edges
+from .words import is_proper_power, letter_key, letters_to_str
 
 # Paths the cycle enumeration may extend: a rank-3 graph needs a few
 # hundred at most, a complete rank-4 one about 16,000.  Past the bound
 # no dual verifies, so the rung gives no verdict.
 _MAX_PATHS = 4096
-
-
-def _corner_pairs(w):
-    """The dart pairs of w's corners, each with its capacity m_e; each
-    distinct letter pair is counted, then normalised once."""
-    letters = w.letters
-    capacity = Counter()
-    for (x, y), m in Counter(zip(letters[-1:] + letters[:-1], letters)).items():
-        capacity[tuple(sorted({x, -y}, key=letter_key))] += m
-    return sorted(capacity.items(), key=lambda item: word_key(item[0]))
 
 
 def _dart_cycles(pairs):
@@ -94,7 +85,7 @@ def lp_dual(w) -> Optional[Dict[str, str]]:
     """A verified dual {pair: "p/q"} when the LP is infeasible or its
     optimum is <= 0; None when it is positive, for proper powers, and past
     the enumeration bound."""
-    pairs = _corner_pairs(w)
+    pairs = whitehead_edges(w)
     cycles = None if is_proper_power(w) else _dart_cycles(pairs)
     if cycles is None:
         return None
@@ -112,7 +103,7 @@ def lp_dual(w) -> Optional[Dict[str, str]]:
 def verify_dual(w, dual) -> bool:
     """Whether ``dual`` proves w not polygonal: the columns are enumerated
     from w, and y is checked in exact rationals."""
-    pairs = _corner_pairs(w)
+    pairs = whitehead_edges(w)
     names = [letters_to_str(e) for e, _m in pairs]
     if not isinstance(dual, dict) or not set(dual) <= set(names):
         return False

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, groupby
 from typing import Optional, Tuple
 
-from .words import CyclicWord, syllable_decomposition, syllable_starts
+from .words import CyclicWord, least_rotation, syllable_decomposition, syllable_starts
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -200,12 +200,12 @@ def tn_membership(element: RhoElement) -> Optional[TnCertificate]:
 
 
 def canonical_composition(comp):
-    """Least rotation of a composition tuple."""
+    """Least rotation of a composition tuple, found by :func:`least_rotation`."""
     comp = tuple(comp)
     if not comp or any(c < 1 for c in comp):
         raise ValueError("composition entries must be >= 1")
-    n = len(comp)
-    return min(comp[r:] + comp[:r] for r in range(n))
+    r = least_rotation(comp)
+    return comp[r:] + comp[:r]
 
 
 @dataclass(frozen=True)
@@ -463,8 +463,12 @@ class HeightOneShape:
         return sum(1 for x in self.q_exps if abs(x) == 1)
 
     def inequality(self):
-        """pp' <= q^2 and qq' <= p^2."""
-        return self.p * self.p_prime <= self.q ** 2 and self.q * self.q_prime <= self.p ** 2
+        return height_one_condition(self.p, self.q, self.p_prime, self.q_prime)
+
+
+def height_one_condition(p, q, p_prime, q_prime):
+    """The height-one hypothesis pp' <= q^2 and qq' <= p^2."""
+    return p * p_prime <= q ** 2 and q * q_prime <= p ** 2
 
 
 def is_simple_height_one(w: CyclicWord):

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .invariants import height_one_condition
+
 RNG_ALGORITHM = "python-mt19937 keyed by 'seed:index'"
 
 _LETTERS = b"a" + b"b" * 255  # byte 0 -> a, any other -> b
@@ -38,18 +40,8 @@ class SampleStats:
     degenerate: bool
 
     @property
-    def condition_p(self):
-        """pp' <= q^2"""
-        return self.p * self.p_prime <= self.q ** 2
-
-    @property
-    def condition_q(self):
-        """qq' <= p^2"""
-        return self.q * self.q_prime <= self.p ** 2
-
-    @property
     def condition(self):
-        return self.condition_p and self.condition_q
+        return height_one_condition(self.p, self.q, self.p_prime, self.q_prime)
 
     @property
     def fail_q(self):

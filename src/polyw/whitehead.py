@@ -142,15 +142,15 @@ def _second_kind_moves(rank):
 def _image_lengths(w, moves):
     """Yield ``len(move.apply(w))`` for each move in turn, by Whitehead's
     length formula on one count of the Whitehead graph of ``w``."""
-    edges = [(*e, c) for e, c in Counter(whitehead_graph(w)).items()]
+    edges = whitehead_edges(w)
     degree = Counter()
-    for x, y, c in edges:
+    for (x, y), c in edges:
         degree[x] += c
         degree[y] += c
     n = len(w)
     for move in moves:
         members = move.members
-        cut = sum(c for x, y, c in edges if (x in members) != (y in members))
+        cut = sum(c for (x, y), c in edges if (x in members) != (y in members))
         yield n + cut - degree[move.multiplier]
 
 
@@ -262,6 +262,17 @@ def whitehead_graph(w):
     return [frozenset((x, -y)) for x, y in zip(letters, letters[1:] + letters[:1])]
 
 
+def whitehead_edges(w):
+    """The Whitehead graph of ``w`` counted: ((x, y), m) per edge, x before
+    y under ``letter_key`` and m its multiplicity, in ``word_key`` order.
+    Each distinct pair of adjacent letters is normalised once."""
+    letters = w.letters
+    count = Counter()
+    for (x, y), m in Counter(zip(letters, letters[1:] + letters[:1])).items():
+        count[(x, -y) if letter_key(x) <= letter_key(-y) else (-y, x)] += m
+    return sorted(count.items(), key=lambda item: word_key(item[0]))
+
+
 def _connected_without(vertices, adjacency, removed):
     remaining = [v for v in vertices if v != removed]
     if not remaining:
@@ -286,11 +297,9 @@ def cut_vertex_prescreen(w):
     """
     vertices = signed_letters(w.rank)
     adjacency = {v: set() for v in vertices}
-    for e in whitehead_graph(w):
-        e = tuple(e)
-        if len(e) == 2:
-            adjacency[e[0]].add(e[1])
-            adjacency[e[1]].add(e[0])
+    for (x, y), _m in whitehead_edges(w):
+        adjacency[x].add(y)
+        adjacency[y].add(x)
     if not all(_connected_without(vertices, adjacency, v) for v in [None, *vertices]):
         return None
     return True

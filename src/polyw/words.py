@@ -103,12 +103,16 @@ class Word:
         return Word(self.rank, inverse_letters(self.letters))
 
 
-def _canonical_rotation(letters):
-    """The least rotation under ``word_key``, by Booth's O(n) algorithm:
-    ``fail`` is the KMP failure function of the doubled key read from the
-    best start ``k`` found so far."""
-    key = word_key(letters)
-    key += key
+def least_rotation(key):
+    """The least start of the least rotation of the sequence ``key``, by
+    Booth's O(n) algorithm (*Lexicographically least circular substrings*,
+    IPL 1980): ``fail`` is the KMP failure function of the doubled
+    sequence read from the best start ``k`` found so far.
+
+    >>> least_rotation((2, 1, 3, 2, 1, 3))
+    1
+    """
+    key = tuple(key) * 2
     fail = [-1] * len(key)
     k = 0
     for j in range(1, len(key)):
@@ -124,6 +128,12 @@ def _canonical_rotation(letters):
             fail[j - k] = -1
         else:
             fail[j - k] = i + 1
+    return k
+
+
+def _canonical_rotation(letters):
+    """The least rotation under ``word_key``."""
+    k = least_rotation(word_key(letters))
     return letters[k:] + letters[:k]
 
 

@@ -319,6 +319,47 @@ def diskbusting_by_orbit(w):
     return all(m.support() == full for m in minimal_orbit(minimize(w).final))
 
 
+def reference_genus(S):
+    """(orientable?, genus) of a closed connected surface, by the walk
+    ``complexes.genus_report`` made before its signed adjacency: it lists
+    the components first, and for each disk it pops it rescans every
+    pair."""
+    if not S.closed:
+        raise ValueError("genus is reported for closed surfaces only")
+    if len(S.connected_components()) > 1:
+        raise ValueError("genus is reported for connected surfaces only")
+    colors = {}
+    orientable = True
+    for start in range(S.m):
+        if start in colors:
+            continue
+        colors[start] = 1
+        stack = [start]
+        while stack and orientable:
+            i = stack.pop()
+            for a, b in S.pairing.pairs:
+                if a[0] != i and b[0] != i:
+                    continue
+                sa = 1 if S.slot_letter(a) > 0 else -1
+                sb = 1 if S.slot_letter(b) > 0 else -1
+                want = -sa * sb  # required product of the two face colors
+                ia, ib = a[0], b[0]
+                if ib in colors and ia in colors:
+                    if colors[ia] * colors[ib] != want:
+                        orientable = False
+                        break
+                elif ia in colors:
+                    colors[ib] = want * colors[ia]
+                    stack.append(ib)
+                elif ib in colors:
+                    colors[ia] = want * colors[ib]
+                    stack.append(ia)
+    chi = S.euler_characteristic()
+    if orientable:
+        return True, (2 - chi) // 2
+    return False, 2 - chi
+
+
 def reference_minimize(w):
     """Greedy Whitehead descent that builds every move's image to read its
     length: the loop ``whitehead.minimize`` scored by Whitehead's formula

@@ -26,9 +26,10 @@ from polyw.constructors import (
     height_one_q_disk_pairing,
 )
 from polyw.invariants import is_simple_height_one, lam, rho, tn_membership
-from polyw.words import CyclicWord, Relabeling, cyclic_word
+from polyw.search import SearchBounds, enumerate_all
+from polyw.words import CyclicWord, Relabeling, cyclic_word, is_proper_power
 
-from oracles import assert_matches_reference
+from oracles import assert_matches_reference, rank2_cyclic_words, reference_genus
 
 W = cyclic_word("a (a^2)^b")  # canonical aabaB
 FIG = cyclic_word("a^2 (a^-1)^b a a^b")
@@ -240,6 +241,31 @@ def test_genus_report_requires_closed_connected():
     S = build_complex([DiskSpec(W, 2)], PARTIAL)
     with pytest.raises(ValueError):
         genus_report(S)
+
+
+def test_genus_walk_matches_the_reference_walk():
+    # the torus, the projective plane, the complex with no disks, and every
+    # surface the search lists at 2 disks and power 2 for short rank-2 words
+    a = cyclic_word("a", 1)
+    surfaces = [torus_cert().complex(), build_complex([DiskSpec(a, 2)], [((0, 0), (0, 1))]),
+                build_complex([], [])]
+    for length in range(2, 6):
+        for w in rank2_cyclic_words(length):
+            if not is_proper_power(w):
+                surfaces += [cert.complex() for cert in enumerate_all(w, SearchBounds())]
+    seen = set()
+    for S in surfaces:
+        try:
+            want = reference_genus(S)
+        except ValueError:
+            with pytest.raises(ValueError, match="connected surfaces only"):
+                genus_report(S)
+            seen.add("disconnected")
+        else:
+            assert genus_report(S) == want, S.pairing.pairs
+            seen.add(want[0])
+    assert genus_report(build_complex([], [])) == (True, 1)
+    assert seen == {True, False, "disconnected"}
 
 
 def test_dot_export():

@@ -10,7 +10,7 @@ from polyw.cli import check_polygonal
 from polyw.constructors import nonpolygonality_follower_obstruction
 from polyw.cyclecover import lp_dual, verify_dual
 from polyw.search import ExhaustedWithin, Found, SearchBounds, decide_polygonal
-from polyw.whitehead import whitehead_graph
+from polyw.whitehead import whitehead_edges, whitehead_graph
 from polyw.words import CyclicWord, cyclic_word, is_proper_power, letter_key, word_key
 
 
@@ -103,7 +103,7 @@ FOUND = [
 def test_corner_pairs_count_the_whitehead_graph(words):
     for w in words:
         edges = Counter(tuple(sorted(e, key=letter_key)) for e in whitehead_graph(w))
-        assert cyclecover._corner_pairs(w) == sorted(
+        assert whitehead_edges(w) == sorted(
             edges.items(), key=lambda item: word_key(item[0])), str(w)
 
 

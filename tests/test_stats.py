@@ -1,8 +1,11 @@
+import itertools
 import math
+import random
 
 from hypothesis import given, strategies
 
 from oracles import cyclic_run_stats
+from polyw.invariants import is_simple_height_one
 from polyw.stats import (
     RNG_ALGORITHM,
     TrialReport,
@@ -11,6 +14,7 @@ from polyw.stats import (
     sample_height_one,
     stats_of_bits,
 )
+from polyw.words import cyclic_word
 
 
 def test_degenerate_all_a():
@@ -94,3 +98,24 @@ def test_csv_row_shape():
     header = TrialReport.csv_header().split(",")
     row = r.to_csv_row().split(",")
     assert len(header) == len(row) == 8
+
+
+def _pushed_forward(bits):
+    """a -> a, b -> a^b applied to the word of ``bits``, read from an a-run
+    start: a^{r_1} (a^{s_1})^b a^{r_2} (a^{s_2})^b ... in text."""
+    k = next(i for i in range(len(bits)) if bits[i] == 0 and bits[i - 1] == 1)
+    runs = [len(list(run)) for _bit, run in itertools.groupby(bits[k:] + bits[:k])]
+    return cyclic_word(" ".join("a^%d (a^%d)^b" % rs for rs in zip(runs[0::2], runs[1::2])))
+
+
+def test_condition_is_the_height_one_inequality_of_the_pushed_forward_word():
+    rng = random.Random(2102)
+    for _ in range(2000):
+        bits = [rng.randint(0, 1) for _ in range(rng.randint(2, 16))]
+        if len(set(bits)) < 2:
+            continue
+        shape = is_simple_height_one(_pushed_forward(bits))
+        st = stats_of_bits(bits)
+        assert (shape.p, shape.q, shape.p_prime, shape.q_prime) == (
+            st.p, st.q, st.p_prime, st.q_prime), bits
+        assert st.condition == shape.inequality(), bits

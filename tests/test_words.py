@@ -19,6 +19,7 @@ from polyw.words import (
     free_reduce,
     inverse_letters,
     is_proper_power,
+    least_rotation as least_start,
     letter_key,
     parse_word,
     primitive_root,
@@ -307,6 +308,20 @@ def test_canonical_rotation_is_least_rotation(ls, k):
     # k > 1 makes a proper power, which has several least rotations
     letters = tuple(ls) * k
     assert _canonical_rotation(letters) == least_rotation(letters, letter_key)
+
+
+def test_least_rotation_is_the_least_start_of_the_least_rotation():
+    # half the sequences repeat a shorter block, so the least rotation
+    # starts at several indices and the least of them is the answer
+    rng = random.Random(2101)
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            block = [rng.randint(0, 2) for _ in range(rng.randint(1, 8))]
+            key = block * rng.randint(2, 16 // len(block))
+        else:
+            key = [rng.randint(0, 2) for _ in range(rng.randint(1, 16))]
+        naive = min(range(len(key)), key=lambda r: key[r:] + key[:r])
+        assert least_start(key) == naive, key
 
 
 def test_canonical_rotation_long_word():
