@@ -284,9 +284,6 @@ def cmd_stats(args):
 
 def cmd_render(args):
     cert = _load_certificate(args.certificate)
-    if cert.declarative is not None:
-        print("declarative certificate has no surface to render", file=sys.stderr)
-        return EXIT_USAGE
     try:
         S = cert.complex()
         if args.cover:

@@ -387,6 +387,15 @@ def _codec(hint):
     return _same, _same
 
 
+# A certificate's JSON layout after its word, rank, disks and pairing, in
+# output order: the verdict's (key, field) entries, then the entries that
+# are written only when set.
+_VERDICT_KEYS = (("chi", "chi"), ("m", "m"), ("vertices", "vertices"),
+                 ("immersion", "immersion_ok"), ("closed", "closed"),
+                 ("polygonal", "polygonal"), ("components", "components"))
+_OPTIONAL_KEYS = ("declarative", "detail", "construction")
+
+
 @dataclass
 class PolygonalityCertificate:
     """A machine-checkable polygonality verdict with reconstruction data."""
@@ -436,22 +445,10 @@ class PolygonalityCertificate:
             "pairing": [[list(a), list(b)] for a, b in self.pairing.pairs]
             if self.pairing is not None
             else None,
-            "verdict": {
-                "chi": self.chi,
-                "m": self.m,
-                "vertices": self.vertices,
-                "immersion": self.immersion_ok,
-                "closed": self.closed,
-                "polygonal": self.polygonal,
-                "components": self.components,
-            },
+            "verdict": {key: getattr(self, name) for key, name in _VERDICT_KEYS},
         }
-        if self.declarative is not None:
-            data["declarative"] = self.declarative
-        if self.detail is not None:
-            data["detail"] = self.detail
-        if self.construction is not None:
-            data["construction"] = self.construction
+        data.update((key, getattr(self, key)) for key in _OPTIONAL_KEYS
+                    if getattr(self, key) is not None)
         if self.tn_certificate is not None:
             data["tn_certificate"] = _codec(TnCertificate)[0](self.tn_certificate)
         if self.u_certificate is not None:
@@ -484,16 +481,10 @@ class PolygonalityCertificate:
             word=word,
             powers=powers,
             pairing=pairing,
-            polygonal=verdict["polygonal"],
-            chi=verdict["chi"],
-            m=verdict["m"],
-            vertices=verdict["vertices"],
-            immersion_ok=verdict["immersion"],
-            closed=verdict["closed"],
-            components=verdict.get("components"),
-            declarative=data.get("declarative"),
-            detail=data.get("detail"),
-            construction=data.get("construction"),
+            # every verdict key is required but "components"
+            **{name: verdict[key] for key, name in _VERDICT_KEYS
+               if key != "components" or key in verdict},
+            **{key: data.get(key) for key in _OPTIONAL_KEYS},
             tn_certificate=None if tn is None else _codec(TnCertificate)[1](tn),
             u_certificate=None if u is None else UCertificate(_codec(Tuple[UPair, ...])[1](u)),
         )

@@ -59,6 +59,16 @@ class ConstructionError(RuntimeError):
     """A construction failed its own certification; indicates a bug."""
 
 
+def _certify_gluing(gluing, w, disks, pairs, **record):
+    """The certificate of a construction's surface, carrying the
+    construction's ``record``; raises :class:`ConstructionError` naming
+    the gluing when the certifier rejects the surface."""
+    out = certify(w, disks, pairs)
+    if not out.polygonal:
+        raise ConstructionError("%s gluing failed certification: %s" % (gluing, out.detail))
+    return replace(out, **record)
+
+
 # --- the two-disk rotation surface -------------------------------------------
 
 
@@ -125,15 +135,9 @@ def construct_from_tn(w: CyclicWord, cert: TnCertificate) -> PolygonalityCertifi
             # junction and the first-component slot of the current one
             glue.append((p_prev if prev_flip else q_prev, q_cur if cur_flip else p_cur))
     assert all(not b for b in buckets.values())
-    out = certify(w, disks, pairs + glue)
-    if not out.polygonal:
-        raise ConstructionError("cycle gluing failed certification: %s" % out.detail)
-    out.tn_certificate = cert
-    out.construction = {
-        "strategy": "tn-cycles",
-        "cycles": [list(c) for c in cert.cycles],
-    }
-    return out
+    return _certify_gluing("cycle", w, disks, pairs + glue, tn_certificate=cert,
+                           construction={"strategy": "tn-cycles",
+                                         "cycles": [list(c) for c in cert.cycles]})
 
 
 def sourcesink_classify(orientations) -> Tuple[int, int, int, int]:
@@ -171,12 +175,8 @@ def construct_f2_no_isolated(w: CyclicWord) -> PolygonalityCertificate:
         raise ConstructionError("source/sink census mismatch on %s" % w)
     cycles = [(1, -2)] * sinks + [(1, 2)] * pollutants
     cert = construct_from_tn(w, TnCertificate(2, tuple(cycles)))
-    cert.construction = {
-        "strategy": "f2-no-isolated",
-        "sources": sources,
-        "filters": filters,
-    }
-    return cert
+    return replace(cert, construction={"strategy": "f2-no-isolated", "sources": sources,
+                                       "filters": filters})
 
 
 def _reversing_gluing(S: SurfaceComplex, ca: int, cb: int):
@@ -235,15 +235,9 @@ def construct_isolated_b(w: CyclicWord) -> PolygonalityCertificate:
             raise ConstructionError("boundary circles %d and %d admit no reversing "
                                     "identification on %s" % (ca, cb, w))
         glue.extend(seam)
-    out = certify(w, disks, pairs + glue)
-    if not out.polygonal:
-        raise ConstructionError("isolated-b gluing failed certification: %s" % out.detail)
-    out.construction = {
-        "strategy": "isolated-b",
-        "sources": len(groups["source"]),
-        "filters": len(groups["filter"]),
-    }
-    return out
+    return _certify_gluing("isolated-b", w, disks, pairs + glue, construction={
+        "strategy": "isolated-b", "sources": len(groups["source"]),
+        "filters": len(groups["filter"])})
 
 
 # --- simple height-one words --------------------------------------------------
@@ -399,21 +393,12 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
             a = ca.slots[ca.start:] + ca.slots[:ca.start]
             k = (cb.start + up.offset) % len(cb.slots)
             glue.extend(zip(a, cb.slots[k:] + cb.slots[:k]))
-    out = certify(w, disks, pairs + glue)
-    if not out.polygonal:
-        raise ConstructionError("height-one gluing failed certification: %s" % out.detail)
-    out.u_certificate = u_cert
-    out.construction = {
-        "strategy": "height-one",
-        "c": c,
-        "d": d,
-        "doubled": doubled,
-        "shift_factors": sorted(A),
-        "shift_targets": x,
-    }
+    record = {"strategy": "height-one", "c": c, "d": d, "doubled": doubled,
+              "shift_factors": sorted(A), "shift_targets": x}
     if swapped:
-        out.construction["swapped"] = True
-    return out
+        record["swapped"] = True
+    return _certify_gluing("height-one", w, disks, pairs + glue, u_certificate=u_cert,
+                           construction=record)
 
 
 # --- non-polygonality evidence -------------------------------------------------

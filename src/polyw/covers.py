@@ -182,8 +182,6 @@ def double_surface_report(cert: PolygonalityCertificate) -> ElevationReport:
     """
     if not cert.polygonal:
         raise ValueError("report requires a certified-true surface")
-    if cert.declarative is not None:
-        raise ValueError("declarative certificates carry no surface")
     S = cert.complex()
     cover = stallings_complete(graph_of_complex(S))
     # after the build, so that a malformed surface reports its own error

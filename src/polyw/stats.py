@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .invariants import height_one_condition
+from .words import MAX_WORD_LENGTH
 
 RNG_ALGORITHM = "python-mt19937 keyed by 'seed:index'"
 
@@ -93,6 +94,13 @@ def _sample_rng(seed: int, index: int) -> random.Random:
     return random.Random("%d:%d" % (seed, index))
 
 
+# (key, field, CSV format) per column of a trial report, in output order
+_COLUMNS = (("N", "n", "%d"), ("samples", "samples", "%d"), ("seed", "seed", "%d"),
+            ("p_condition", "p_condition", "%.6f"), ("p_fail_q", "p_fail_q", "%.6f"),
+            ("p_fail_p", "p_fail_p", "%.6f"), ("mean_runs", "mean_runs", "%.6f"),
+            ("var_runs", "var_runs", "%.6f"))
+
+
 @dataclass(frozen=True)
 class TrialReport:
     n: int
@@ -107,34 +115,21 @@ class TrialReport:
     algorithm: str = RNG_ALGORITHM
 
     def to_json_dict(self):
-        return {
-            "N": self.n,
-            "samples": self.samples,
-            "seed": self.seed,
-            "p_condition": self.p_condition,
-            "p_fail_q": self.p_fail_q,
-            "p_fail_p": self.p_fail_p,
-            "mean_runs": self.mean_runs,
-            "var_runs": self.var_runs,
-            "degenerate": self.degenerate,
-            "rng": self.algorithm,
-        }
+        data = {key: getattr(self, name) for key, name, _fmt in _COLUMNS}
+        data.update(degenerate=self.degenerate, rng=self.algorithm)
+        return data
 
     @staticmethod
     def csv_header():
-        return "N,samples,seed,p_condition,p_fail_q,p_fail_p,mean_runs,var_runs"
+        """The CSV column names.
+
+        >>> print(TrialReport.csv_header())
+        N,samples,seed,p_condition,p_fail_q,p_fail_p,mean_runs,var_runs
+        """
+        return ",".join(key for key, _name, _fmt in _COLUMNS)
 
     def to_csv_row(self):
-        return "%d,%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f" % (
-            self.n,
-            self.samples,
-            self.seed,
-            self.p_condition,
-            self.p_fail_q,
-            self.p_fail_p,
-            self.mean_runs,
-            self.var_runs,
-        )
+        return ",".join(fmt % getattr(self, name) for _key, name, fmt in _COLUMNS)
 
 
 def run_trials(n: int, samples: int, seed: int) -> TrialReport:
@@ -144,6 +139,8 @@ def run_trials(n: int, samples: int, seed: int) -> TrialReport:
     """
     if n < 2:
         raise ValueError("length must be at least 2")
+    if n > MAX_WORD_LENGTH:
+        raise ValueError("length must be at most %d" % MAX_WORD_LENGTH)
     if samples < 1:
         raise ValueError("samples must be at least 1")
     cond = fail_q = fail_p = degenerate = 0

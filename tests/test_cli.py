@@ -243,6 +243,7 @@ def test_stats_csv_and_seed_env(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv, reason", [
     (("--length", "1", "--samples", "5"), "length must be at least 2"),
     (("--length", "10", "--samples", "0"), "samples must be at least 1"),
+    (("--length", "1000001", "--samples", "1"), "length must be at most 1000000"),
 ])
 def test_stats_bad_size_exit_three(argv, reason):
     proc = run_cli("stats", *argv)

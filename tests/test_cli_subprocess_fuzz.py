@@ -46,6 +46,8 @@ ARGV = [
     ("minimize", "abcdefABCDEF", "--rank", "1000000"),
     ("diskbusting", "abcdefgABCDEFG"),
     ("stats", "--length", "1000000", "--samples", "1"),
+    # past the word-length bound: refused before a word is drawn
+    ("stats", "--length", "30000000", "--samples", "1"),
     ("cover", "/dev/zero"),
     ("render", "/dev/zero", "--cover"),
     # 12,276 moves on a 6,000-letter word: the work cap stops it

@@ -346,9 +346,19 @@ def test_certificate_loader_bounds_the_slot_count():
 
 def test_tn_and_u_certificates_roundtrip_through_json():
     tn_word = cyclic_word("a^6 b^-3 c^5 b^4 c^-7")
-    for cert in (construct_from_tn(tn_word, tn_membership(rho(tn_word))),
-                 construct_height_one(cyclic_word("a (a^2)^b a^2 (a)^b"))):
+    rejected = certify(W, [DiskSpec(W, 1)], [((0, 0), (0, 2))])
+    for cert, optional in (
+        (construct_from_tn(tn_word, tn_membership(rho(tn_word))),
+         ["construction", "tn_certificate"]),
+        (rejected, ["detail"]),
+        (proper_power_certificate(cyclic_word("abab", 2)), ["declarative"]),
+        (construct_height_one(cyclic_word("a (a^2)^b a^2 (a)^b")),
+         ["construction", "u_certificate"]),
+    ):
         data = json.loads(json.dumps(cert.to_json_dict()))
+        assert list(data) == ["word", "rank", "disks", "pairing", "verdict", *optional]
+        assert list(data["verdict"]) == ["chi", "m", "vertices", "immersion", "closed",
+                                         "polygonal", "components"]
         again = PolygonalityCertificate.from_json_dict(data)
         assert again == cert and again.to_json_dict() == data
     assert data["u_certificate"][0].keys() == {"a", "b", "offset"}

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from oracles import (
     rank2_cyclic_words,
 )
 from polyw import complexes, constructors
+from polyw.cli import check_polygonal
 from polyw.complexes import DiskSpec, boundary_lambda, build_complex, certify
 from polyw.constructors import (
     ConstructionError,
@@ -348,6 +350,30 @@ def test_height_one_d_override_safety():
     out = construct_height_one(cyclic_word("a (a^2)^b"))
     assert out.polygonal
     assert (out.construction["c"], out.construction["d"]) == (2, 2)
+
+
+@pytest.mark.parametrize("construct, text, gluing", [
+    (lambda w: construct_from_tn(w, tn_membership(rho(w))), "a^6 b^-3 c^5 b^4 c^-7",
+     "cycle"),
+    (construct_f2_no_isolated, "a^3 b^2 a^-2 b^-3", "cycle"),
+    (construct_isolated_b, "a^2 b a^-2 b^-1", "isolated-b"),
+    (construct_height_one, "a (a^2)^b a^2 (a)^b", "height-one"),
+])
+def test_a_rejected_gluing_is_a_construction_error(monkeypatch, construct, text, gluing):
+    """A surface the certifier rejects is an error naming the gluing, and
+    ``check`` reports it as inconclusive with that reason."""
+
+    def rejecting(*args):
+        return replace(certify(*args), polygonal=False, detail="rejected on purpose")
+
+    monkeypatch.setattr(constructors, "certify", rejecting)
+    w = cyclic_word(text)
+    reason = "%s gluing failed certification: rejected on purpose" % gluing
+    with pytest.raises(ConstructionError) as err:
+        construct(w)
+    assert str(err.value) == reason
+    verdict = check_polygonal(w)
+    assert (verdict.status, verdict.payload) == ("inconclusive", {"reason": reason})
 
 
 def test_obstruction_examples():
