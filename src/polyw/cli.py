@@ -253,7 +253,7 @@ def _load_certificate(path):
         if "status" in data and "result" in data:  # `check` output wrapper
             data = data["result"]
         return PolygonalityCertificate.from_json_dict(data)
-    except (OSError, ValueError, KeyError, TypeError) as err:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as err:
         print("cannot load certificate: %s" % err, file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 

@@ -426,15 +426,14 @@ def nonpolygonality_follower_obstruction(w: CyclicWord) -> Optional[NonPolygonal
     if any(-x in present for x in present):
         return None  # a generator with both signs: no inversion makes w positive
     inv = frozenset(-x for x in present if x < 0)
-    # w with inv inverted, read from w's own start: followers and
-    # predecessors do not depend on the rotation
+    # w with inv inverted, read from w's own start: followers do not
+    # depend on the rotation
     v = [abs(x) for x in w.letters]
     after = v[1:] + v[:1]
     for gen in (1, 2):
         followers = {b for a, b in zip(v, after) if a == gen}
         if len(followers) == 1:
             return NonPolygonalityEvidence(w, gen, "follower", followers.pop(), inv)
-        preds = {a for a, b in zip(v, after) if b == gen}
-        if len(preds) == 1:
-            return NonPolygonalityEvidence(w, gen, "predecessor", preds.pop(), inv)
+    # none has one predecessor either: a, followed by a and b, is preceded by
+    # a and b (some b precedes an a), and so is b if followed by b and a
     return None

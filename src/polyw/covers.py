@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import List, Tuple
 
 from .complexes import PolygonalityCertificate, SurfaceComplex
-from .words import CyclicWord
+from .words import MAX_WORD_LENGTH, CyclicWord
 
 
 class FoldednessError(ValueError):
@@ -50,8 +50,13 @@ class LabeledGraph:
 
 
 def graph_of_complex(S: SurfaceComplex) -> LabeledGraph:
-    """The labeled 1-skeleton of a surface complex."""
+    """The labeled 1-skeleton of a surface complex; its generator maps,
+    completed, would hold rank x vertices entries, refused past
+    ``MAX_WORD_LENGTH``."""
     rank = S.disks[0].word.rank
+    if rank * S.n_vertices > MAX_WORD_LENGTH:
+        raise ValueError("the cover of rank %d on %d vertices is past %d entries"
+                         % (rank, S.n_vertices, MAX_WORD_LENGTH))
     maps: List[List[Tuple[int, int]]] = [[] for _ in range(rank)]
     for e in S.edges:
         maps[e.label - 1].append((e.tail, e.head))
@@ -87,8 +92,8 @@ class CoverGraph:
             v = self.step(v, x)
         return v
 
-    def to_dot(self, name="cover"):
-        lines = ["digraph %s {" % name]
+    def to_dot(self):
+        lines = ["digraph cover {"]
         for v in range(self.degree):
             lines.append('  v%d [label="%d"];' % (v, v))
         for g, p in enumerate(self.perms, start=1):

@@ -102,9 +102,6 @@ class RhoElement:
             raise ValueError("rank mismatch")
         return RhoElement(self.rank, self.pairs + other.pairs)
 
-    def __str__(self):
-        return " + ".join("(%d,%d)" % p for p in self.pairs) or "0"
-
 
 def rho(w: CyclicWord) -> RhoElement:
     """Sum of (sign(p_i) k_i, sign(p_{i+1}) k_{i+1}) over cyclic syllable pairs.
@@ -153,11 +150,6 @@ class TnCertificate:
             for i in range(len(c)):
                 pairs.append((c[i], c[(i + 1) % len(c)]))
         return RhoElement(self.rank, tuple(pairs))
-
-    def __str__(self):
-        return " + ".join(
-            "(" + " ".join(str(x) for x in c) + ")" for c in self.cycles
-        )
 
 
 def verify_tn_certificate(cert: TnCertificate, element: RhoElement) -> bool:
@@ -225,10 +217,6 @@ class LambdaTerm:
     def sort_key(self):
         return (self.total, -self.sign, self.composition)
 
-    def __str__(self):
-        return "L%s(%s)" % ("+" if self.sign > 0 else "-",
-                            ",".join(str(c) for c in self.composition))
-
 
 def lam(sign, *composition):
     """Shorthand: lam('+', 2, 2) is the term with outgoing b's and composition (2,2)."""
@@ -255,9 +243,6 @@ class LambdaMultiset:
         return LambdaMultiset(self.terms * k)
 
     __rmul__ = __mul__
-
-    def __str__(self):
-        return " + ".join(str(t) for t in self.terms) or "0"
 
 
 def partial_sums(comp):

@@ -274,9 +274,7 @@ def whitehead_edges(w):
 
 
 def _connected_without(vertices, adjacency, removed):
-    remaining = [v for v in vertices if v != removed]
-    if not remaining:
-        return True
+    remaining = [v for v in vertices if v != removed]  # never empty: rank >= 1
     stack = [remaining[0]]
     seen = {remaining[0]}
     while stack:

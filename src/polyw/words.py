@@ -96,12 +96,6 @@ class Word:
     def __len__(self):
         return len(self.letters)
 
-    def __str__(self):
-        return letters_to_str(self.letters) if self.letters else "<empty>"
-
-    def inverse(self):
-        return Word(self.rank, inverse_letters(self.letters))
-
 
 def least_rotation(key):
     """The least start of the least rotation of the sequence ``key``, by
@@ -327,15 +321,6 @@ class Syllables:
     rank: int
     parts: Tuple[Tuple[int, int], ...]  # (generator, exponent != 0)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(tuple(p) for p in self.parts))
-        n = len(self.parts)
-        for i, (g, e) in enumerate(self.parts):
-            if e == 0 or not 1 <= g <= self.rank:
-                raise ValueError("bad syllable %r" % ((g, e),))
-            if n > 1 and g == self.parts[(i + 1) % n][0]:
-                raise ValueError("adjacent syllables share generator %d" % g)
-
     def __len__(self):
         return len(self.parts)
 
@@ -371,12 +356,7 @@ def _read_syllables(w):
             parts[-1][1] += 1 if x > 0 else -1
         else:
             parts.append([abs(x), 1 if x > 0 else -1])
-    # The canonical rotation starts with the least letter, which is always a
-    # syllable start; merging across the wrap could only occur for a
-    # single-generator word, where everything collapses to one syllable.
-    if len(parts) > 1 and parts[0][0] == parts[-1][0]:
-        last = parts.pop()
-        parts[0][1] += last[1]
+    # no run wraps round: ending in its first, least letter, w would have a lesser rotation
     syl = Syllables(w.rank, tuple((g, e) for g, e in parts))
     return syl, tuple(itertools.accumulate((abs(e) for _g, e in syl.parts[:-1]), initial=0))
 

@@ -114,6 +114,13 @@ def test_check_strategy_not_applicable_exit_two():
     proc = run_cli("check", "a^2 b^2 c^3 b^-3", "--strategy", "tn")
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["status"] == "not-applicable"
+    for text, strategy, reason in [
+        ("a^2 b^2 c^3 b^-3", "tn", "junction invariant is not in the cycle monoid"),
+        # pp' = 24 > q^2 = 9
+        ("a (a)^b a (a)^b a^10 (a)^b", "height-one", "inequality pp' <= q^2, qq' <= p^2 fails"),
+    ]:
+        verdict = check_polygonal(cyclic_word(text), strategy)
+        assert (verdict.status, verdict.payload) == ("not-applicable", {"reason": reason})
 
 
 def test_parse_error_exit_three():
@@ -403,9 +410,20 @@ def test_cover_requires_the_certificate_to_recertify(tmp_path, capsys):
     assert run_main("cover", str(path)) == 3
     out, err = capsys.readouterr()
     assert err == "error: the certificate does not re-certify as stated\n" and not out
-    path.write_text(json.dumps({"word": "abAB", "rank": 2, "disks": [{"power": 1}],
-                                "pairing": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]],
-                                "verdict": TORUS_VERDICT}))
+    torus = {"word": "abAB", "rank": 2, "disks": [{"power": 1}],
+             "pairing": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]], "verdict": TORUS_VERDICT}
+    # the true torus, one stated verdict entry made false: each is refused
+    for key, value in [("closed", False), ("immersion", False), ("components", 7)]:
+        path.write_text(json.dumps(dict(torus, verdict=dict(TORUS_VERDICT, **{key: value}))))
+        assert run_main("cover", str(path)) == 3, key
+        out, err = capsys.readouterr()
+        assert err == "error: the certificate does not re-certify as stated\n" and not out
+    path.write_text(json.dumps(torus))
+    assert run_main("cover", str(path)) == 0
+    capsys.readouterr()
+    # "components" may go unstated
+    verdict = {k: v for k, v in TORUS_VERDICT.items() if k != "components"}
+    path.write_text(json.dumps(dict(torus, verdict=verdict)))
     assert run_main("cover", str(path)) == 0
 
 

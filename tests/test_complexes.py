@@ -129,6 +129,9 @@ def test_pi_rotation_disk_fails():
 def test_certifier_failures_are_verdicts():
     cert = certify(W, [DiskSpec(W, 1)], [((0, 0), (0, 2))])
     assert not cert.polygonal and "incompatible" in cert.detail
+    # an empty disk system is no surface, though each of its (no) components passes
+    cert = certify(W, [], [])
+    assert not cert.polygonal and cert.detail == "no disks"
 
 
 def test_fig_example_profile():

@@ -158,8 +158,11 @@ def test_loose_pair_needs_a_nonnegative_dual():
 
 def test_over_the_enumeration_bound_the_rung_is_skipped(monkeypatch):
     w = cyclic_word("AccbbC")
+    dual = lp_dual(w)
+    assert verify_dual(w, dual)
     monkeypatch.setattr(cyclecover, "_MAX_PATHS", 0)
     assert lp_dual(w) is None
+    assert not verify_dual(w, dual)
     verdict = check_polygonal(w, bounds=SearchBounds(max_disks=2, max_power=2))
     assert verdict.status == "inconclusive"
 

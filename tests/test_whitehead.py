@@ -185,6 +185,9 @@ def test_diskbusting_examples():
     assert is_diskbusting(cyclic_word("a (a^2)^b")) is True
     assert is_diskbusting(cyclic_word("a", 2)) is False
     assert is_diskbusting(cyclic_word("a", 1)) is False
+    # the prescreen is silent on a disconnected graph and on a cut vertex (a)
+    assert cut_vertex_prescreen(cyclic_word("ab")) is None
+    assert cut_vertex_prescreen(cyclic_word("aab")) is None
 
 
 def test_diskbusting_invariant_under_relabelings():
