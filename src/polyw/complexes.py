@@ -15,8 +15,14 @@ before i.  ``SurfaceComplex`` keeps flat lists indexed by s: ``letter``,
 the ``nxt`` and ``prv`` slots around the disk, ``disk``, ``partner`` (-1
 when free) and ``vertex``, the id of the slot's first corner.  Vertices
 are the corner classes under the pairing, numbered in order of their
-least slot.  Each report (edges, boundary circles, immersion, chi per
-component, the boundary invariant) is one pass over these lists.
+least slot.  The lists of slot indices and vertex ids (``nxt``, ``prv``,
+``partner``, ``vertex`` and the union-find parents of the build) hold
+one shared int object per index, so a slot costs one pointer per list.
+A boundary circle is kept as its slot list in walk order and a
+``bytearray`` of walk directions; ``boundary`` spells it out as
+((disk, slot), forward) tuples.  Each report (edges, boundary circles,
+immersion, chi per component, the boundary invariant) is one pass over
+these lists.
 """
 
 from __future__ import annotations
@@ -124,17 +130,18 @@ class SurfaceComplex:
             letter.extend(d.boundary_letters())
             disk.extend([i] * sizes[i])
         n = len(letter)
-        nxt, prv = list(range(1, n + 1)), list(range(-1, n - 1))
+        ids = list(range(n))  # the one int object per slot index that every list shares
+        nxt, prv = ids[1:] + ids[:1], ids[-1:] + ids[:-1]
         for b, size in zip(self.base, sizes):
-            nxt[b + size - 1], prv[b] = b, b + size - 1
+            nxt[b + size - 1], prv[b] = ids[b], ids[b + size - 1]
         self.letter, self.disk, self.nxt, self.prv = letter, disk, nxt, prv
         self.partner = partner = [-1] * n
-        parent = list(range(n))  # every parent is a smaller slot of the class
+        parent = ids[:]  # every parent is a smaller slot of the class
         for a, b in pairing.pairs:
             for i, j in (a, b):
                 if not (0 <= i < len(sizes)) or not (0 <= j < sizes[i]):
                     raise PairingError("slot %r out of range" % ((i, j),))
-            s, t = self.base[a[0]] + a[1], self.base[b[0]] + b[1]
+            s, t = ids[self.base[a[0]] + a[1]], ids[self.base[b[0]] + b[1]]
             if abs(letter[s]) != abs(letter[t]):
                 raise PairingError("label mismatch: %r reads %s, %r reads %s"
                                    % (a, letter[s], b, letter[t]))
@@ -143,31 +150,36 @@ class SurfaceComplex:
             u, v = (t, nxt[t]) if (letter[s] > 0) == (letter[t] > 0) else (nxt[t], t)
             for x, y in ((s, u), (nxt[s], v)):
                 x, y = _find(parent, x), _find(parent, y)
-                if x != y:
-                    parent[max(x, y)] = min(x, y)
+                if x < y:
+                    parent[y] = x
+                elif y < x:
+                    parent[x] = y
         self.vertex = vertex = [0] * n
         count = 0
         for s, r in enumerate(parent):  # a parent r < s is numbered already
-            vertex[s] = vertex[r] if r < s else count
+            vertex[s] = vertex[r] if r < s else ids[count]
             count += r == s
         self.n_vertices = count
         self.closed = -1 not in partner
-        self._circles = [] if self.closed else self._walk_boundary()
+        self._circles = [] if self.closed else self._walk_boundary(ids)
 
-    def _walk_boundary(self):
-        """Boundary circles as lists of (slot, forward): from a free slot
-        the walk turns round its far corner, and on into the partner's
-        neighbour while the slot it reaches is paired."""
+    def _walk_boundary(self, ids):
+        """Boundary circles, each a pair (slots, forward): the list of its
+        slots in walk order and a ``bytearray`` whose entry k is 1 when the
+        walk runs along slot k's disk.  From a free slot the walk turns
+        round its far corner, and on into the partner's neighbour while the
+        slot it reaches is paired."""
         letter, nxt, prv, partner = self.letter, self.nxt, self.prv, self.partner
-        seen = [False] * len(letter)
+        seen = bytearray(len(letter))
         circles = []
         for start in range(len(letter)):
             if partner[start] >= 0 or seen[start]:
                 continue
-            circle = []
-            s, forward = start, True
+            slots, directions = [], bytearray()
+            s, forward = ids[start], True
             while True:
-                circle.append((s, forward))
+                slots.append(s)
+                directions.append(forward)
                 seen[s] = True
                 s = nxt[s] if forward else prv[s]
                 while partner[s] >= 0:
@@ -178,7 +190,7 @@ class SurfaceComplex:
                 if s == start:
                     assert forward, "boundary walk closed inconsistently"
                     break
-            circles.append(circle)
+            circles.append((slots, directions))
         return circles
 
     # -- reports -------------------------------------------------------------
@@ -199,10 +211,15 @@ class SurfaceComplex:
         u, v = self.vertex[s], self.vertex[self.nxt[s]]
         return (u, v) if self.letter[s] > 0 else (v, u)
 
+    @property
+    def n_circles(self):
+        return len(self._circles)
+
     @cached_property
     def boundary(self):
         """Boundary circles, each a tuple of ((disk, slot), forward)."""
-        return [tuple((self._name(s), f) for s, f in c) for c in self._circles]
+        return [tuple((self._name(s), bool(f)) for s, f in zip(slots, forward))
+                for slots, forward in self._circles]
 
     @cached_property
     def lambda_circles(self):
@@ -504,7 +521,7 @@ def certify(w: CyclicWord, disks, pairing) -> PolygonalityCertificate:
     if not immersion_ok:
         detail = "immersion violations: %s" % (violations[:3],)
     elif not S.closed:
-        detail = "%d boundary components remain" % len(S._circles)
+        detail = "%d boundary components remain" % S.n_circles
     elif not chi_ok:
         detail = "a component has chi >= its disk count" if comp_data else "no disks"
     return PolygonalityCertificate(
@@ -582,12 +599,13 @@ def _lambda_circles(S: SurfaceComplex):
     if S.closed:
         raise LambdaError("closed surface has no boundary invariant")
     shapes, out = {}, []
-    for circle in S._circles:
+    for slots, forward in S._circles:
         # orient the circle along the a-arrows
-        dirs = {forward == (letter[s] > 0) for s, forward in circle}
+        dirs = {f == (letter[s] > 0) for s, f in zip(slots, forward)}
         if len(dirs) != 1:
             raise LambdaError("boundary circle with inconsistently oriented a-edges")
-        slots = [s for s, _f in (circle if dirs.pop() else reversed(circle))]
+        if not dirs.pop():
+            slots = slots[::-1]
         verts = [vertex[s] if letter[s] > 0 else vertex[nxt[s]] for s in slots]
         flags, sign = [], 0
         for v in verts:

@@ -34,6 +34,7 @@ from .invariants import (
     _isolated_b_junctions,
     _kind,
     canonical_pair,
+    check_term_cap,
     has_no_isolated_generators,
     is_simple_height_one,
     isolated_b_sign_condition,
@@ -295,7 +296,9 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
     the block when only the doubled invariant matches), glues boundary
     circles pairwise per the matching, and certifies once.  A block that,
     doubled, would hold more slots than a certificate may is refused
-    before it is built, with :class:`ResourceCapExceeded`.
+    before it is built, and one with more boundary circles than the U
+    term cap before its invariant is read, each with
+    :class:`ResourceCapExceeded`.
     """
     shape = is_simple_height_one(w)
     if shape is None:
@@ -357,6 +360,7 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
         pairs.extend(height_one_q_disk_pairing(shape, d * Q, c + i))
 
     S = build_complex(disks, pairs)
+    check_term_cap(S.n_circles)  # one term per boundary circle, refused before the walk
     invariant = boundary_lambda(S)
     u_cert = u_membership(invariant)
     doubled = u_cert is None

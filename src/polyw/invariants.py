@@ -19,6 +19,9 @@ holding no decomposition, so None is a complete negative and the result is
 the first decomposition in move order, the one depth-first backtracking over
 the sorted pairs or terms finds.  The caps bound no recursion, only the size
 of the construction a member licenses, until the benchmark is re-based.
+:func:`check_term_cap` is the one test of the term cap: :func:`u_membership`
+runs it on its multiset, and the height-one constructor on a block's
+boundary-circle count, one term per circle, before it walks the circles.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, groupby
 from typing import Optional, Tuple
 
-from .words import CyclicWord, least_rotation, syllable_decomposition, syllable_starts
+from .words import CyclicWord, least_rotation, syllable_decomposition
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -306,11 +309,15 @@ class UCertificate:
         )
 
 
+def check_term_cap(terms):
+    """Refuse a U membership of more than ``DEFAULT_TERM_CAP`` terms."""
+    if terms > DEFAULT_TERM_CAP:
+        raise ResourceCapExceeded("multiset has %d terms > cap %d" % (terms, DEFAULT_TERM_CAP))
+
+
 def u_membership(multiset: LambdaMultiset) -> Optional[UCertificate]:
     """Perfect matching of the terms into U generators, or exhaustive None."""
-    if len(multiset) > DEFAULT_TERM_CAP:
-        raise ResourceCapExceeded("multiset has %d terms > cap %d"
-                                  % (len(multiset), DEFAULT_TERM_CAP))
+    check_term_cap(len(multiset))
     pairs = []
     for _total, group in groupby(multiset.terms, key=lambda t: t.total):
         types, counts = zip(*[(t, len(list(run))) for t, run in groupby(group)])
@@ -382,22 +389,10 @@ def _kind(before, after, clean):
     return "filter" if (after > 0) == clean else "pollutant"
 
 
-def _a_runs(w: CyclicWord):
-    """(exponent of the b before it, exponent, canonical start) per a-run of
-    w in order, when w has rank 2, both generators and single-letter
-    b-syllables; else None.  The b after run i is the b before run i+1."""
-    if w.rank != 2 or len(w.support()) < 2:
-        return None
-    syl, starts = syllable_starts(w)
-    if any(g == 2 and abs(e) != 1 for g, e in syl.parts):
-        return None
-    return [(syl.parts[i - 1][1], e, starts[i]) for i, (g, e) in enumerate(syl.parts) if g == 1]
-
-
 def _isolated_b_junctions(w: CyclicWord):
     """(kind, canonical position) per b of w = prod a^{p_i} b^{q_i} with
     |p_i| > 1, |q_i| = 1, or None: b^{q_i} joins p_i to p_{i+1}, clean if q_i > 0."""
-    runs = _a_runs(w)
+    runs = w._a_runs
     if runs is None or any(abs(p) < 2 for _q, p, _s in runs):
         return None
     return [(_kind(p, p2, q > 0), (start + abs(p)) % len(w))
@@ -472,7 +467,7 @@ def _height_one_reading(w: CyclicWord, lead):
     ``lead = 1`` is the reading of :func:`is_simple_height_one`; ``lead =
     -1`` exchanges the roles of the two run families in place.
     """
-    runs = _a_runs(w) or ()
+    runs = w._a_runs or ()
     first = next((k for k, run in enumerate(runs) if run[0] == lead), None)
     if first is None or len(runs) % 2:
         return None

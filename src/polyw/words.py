@@ -178,6 +178,11 @@ class CyclicWord:
         dataclass fields, so equality and hashing ignore it."""
         return _read_syllables(self)
 
+    @functools.cached_property
+    def _a_runs(self):
+        """The a-runs of :func:`_read_a_runs`, read once per word, like ``_syllables``."""
+        return _read_a_runs(self)
+
 
 # The most letters a word text may expand to, far above any word the
 # constructions or the search can handle.
@@ -359,6 +364,19 @@ def _read_syllables(w):
     # no run wraps round: ending in its first, least letter, w would have a lesser rotation
     syl = Syllables(w.rank, tuple((g, e) for g, e in parts))
     return syl, tuple(itertools.accumulate((abs(e) for _g, e in syl.parts[:-1]), initial=0))
+
+
+def _read_a_runs(w):
+    """(exponent of the b before it, exponent, canonical start) per a-run of
+    w in order, when w has rank 2, both generators and single-letter
+    b-syllables; else None.  The b after run i is the b before run i+1."""
+    if w.rank != 2 or len(w.support()) < 2:
+        return None
+    syl, starts = syllable_starts(w)
+    if any(g == 2 and abs(e) != 1 for g, e in syl.parts):
+        return None
+    return tuple((syl.parts[i - 1][1], e, starts[i])
+                 for i, (g, e) in enumerate(syl.parts) if g == 1)
 
 
 def _period(letters):

@@ -44,6 +44,20 @@ def test_check_reads_the_syllables_once(monkeypatch, text):
     assert read == [w]
 
 
+@pytest.mark.parametrize("text, rung", [
+    ("a^3 (a)^b", "height-one"),  # read swapped, after the isolated-b rung declines
+    ("a^2 b a^-2 b^-1", "isolated-b"),
+])
+def test_check_reads_the_a_runs_once(monkeypatch, text, rung):
+    read, real = [], words._read_a_runs
+    monkeypatch.setattr(words, "_read_a_runs", lambda w: read.append(w) or real(w))
+    w = cyclic_word(text)
+    verdict = check_polygonal(w)
+    assert verdict.status == "polygonal"
+    assert verdict.payload["construction"]["strategy"] == rung
+    assert read == [w]
+
+
 def test_check_polygonal_exit_zero(tmp_path):
     out = tmp_path / "cert.json"
     proc = run_cli("check", "a (a^2)^b", "--out", str(out))

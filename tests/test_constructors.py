@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -326,6 +327,40 @@ def test_height_one_refuses_a_block_past_the_slot_bound():
     # c = d = 1: disks of powers 1000 and 1000 on a 2004-letter word
     with pytest.raises(ResourceCapExceeded, match="the block needs 4008000 slots"):
         construct_height_one(cyclic_word("a (a^999)^b a^999 (a)^b"))
+
+
+# The ladder's first 16-pair height-one word: its block holds 44,352 slots
+# on 7,770 boundary circles, one U term each, over the 2048-term cap.
+HEIGHT_ONE_16 = next(text for family, text in corpus.ladder_pool() if family == "height-one-16")
+
+
+def test_height_one_refuses_the_term_cap_before_the_walk(monkeypatch):
+    def walk(S):
+        raise AssertionError("the boundary invariant of a refused block was walked")
+
+    monkeypatch.setattr(constructors, "boundary_lambda", walk)
+    with pytest.raises(ResourceCapExceeded) as err:
+        construct_height_one(cyclic_word(HEIGHT_ONE_16))
+    assert str(err.value) == "multiset has 7770 terms > cap 2048"
+
+
+def test_height_one_under_the_term_cap_reaches_u_membership(monkeypatch):
+    terms, real = [], constructors.u_membership
+    monkeypatch.setattr(constructors, "u_membership", lambda m: terms.append(len(m)) or real(m))
+    out = construct_height_one(cyclic_word("a (a^2)^b"))
+    assert out.polygonal and terms == [14]
+
+
+def test_height_one_refusal_peaks_below_10_mb():
+    w = cyclic_word(HEIGHT_ONE_16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapExceeded):
+            construct_height_one(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 10 ** 6
 
 
 def test_height_one_multi_factor():

@@ -3,10 +3,11 @@ cannot change a certificate.
 
 Each hash is the sha256 of the command's stdout.  ``check`` runs at the
 benchmark's bounds on the paper examples (all but the 4020-term
-height-one word) and on one word from each of three ladder strata:
-a 144-syllable T_3 word, a 12-factor isolated-b word and a 4-pair
-height-one word.  ``render`` and ``cover`` run on the torus and the
-one-disk figure certificate.
+height-one word) and on ladder words: a 144-syllable T_3 word, a
+12-factor isolated-b word, a 4-pair height-one word, and a 16-pair
+height-one word whose 7770-term boundary invariant the term cap
+refuses.  ``render`` and ``cover`` run on the torus and the one-disk
+figure certificate.
 """
 
 import hashlib
@@ -35,6 +36,11 @@ ISOLATED_B_12 = (
     "a^5 b^-1 a^-2 b^-1 a^-5 b^-1"
 )
 HEIGHT_ONE_4 = "a^-3 (a^1)^b a^-3 (a^1)^b a^-1 (a^2)^b a^-2 (a^2)^b"
+HEIGHT_ONE_16 = (
+    "a^1 (a^1)^b a^1 (a^1)^b a^1 (a^1)^b a^3 (a^1)^b a^3 (a^2)^b a^2 (a^2)^b a^1 (a^1)^b "
+    "a^3 (a^2)^b a^1 (a^2)^b a^2 (a^1)^b a^3 (a^1)^b a^2 (a^2)^b a^3 (a^1)^b a^3 (a^1)^b "
+    "a^3 (a^1)^b a^2 (a^2)^b"
+)
 
 CHECK_PINS = [
     ("a^6 b^-3 c^5 b^4 c^-7", 0,
@@ -54,6 +60,7 @@ CHECK_PINS = [
     (TN_144, 0, "609cb3bb1af5d5319f38832cbfed5a89c6057e5f26eb5f2ae9db726065317232"),
     (ISOLATED_B_12, 0, "23d5555daef2cd4d084a382da2240d713266a7b0ff7f1dcbf0c56d9d60809976"),
     (HEIGHT_ONE_4, 0, "88214131f19efd0f872e1a0feaca3c9588b337b8f724ddf91e72fb3f1d5f0572"),
+    (HEIGHT_ONE_16, 2, "4fdb61e1d55aa773d561d1e95e339a320dc20a3e80d942910b6d7c0356a7bdfd"),
 ]
 
 SURFACE_PINS = [
