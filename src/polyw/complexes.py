@@ -18,11 +18,10 @@ are the corner classes under the pairing, numbered in order of their
 least slot.  The lists of slot indices and vertex ids (``nxt``, ``prv``,
 ``partner``, ``vertex`` and the union-find parents of the build) hold
 one shared int object per index, so a slot costs one pointer per list.
-A boundary circle is kept as its slot list in walk order and a
-``bytearray`` of walk directions; ``boundary`` spells it out as
-((disk, slot), forward) tuples.  Each report (edges, boundary circles,
-immersion, chi per component, the boundary invariant) is one pass over
-these lists.
+``circles`` keeps each boundary circle as its slot list in walk order
+and a ``bytearray`` of walk directions, and ``name(s)`` is slot s as
+(disk, slot).  Each report (edges, boundary circles, immersion, chi per
+component, the boundary invariant) is one pass over these lists.
 """
 
 from __future__ import annotations
@@ -161,7 +160,7 @@ class SurfaceComplex:
             count += r == s
         self.n_vertices = count
         self.closed = -1 not in partner
-        self._circles = [] if self.closed else self._walk_boundary(ids)
+        self.circles = [] if self.closed else self._walk_boundary(ids)
 
     def _walk_boundary(self, ids):
         """Boundary circles, each a pair (slots, forward): the list of its
@@ -202,7 +201,8 @@ class SurfaceComplex:
         """Vertex id of the first corner of ``(disk, slot)``."""
         return self.vertex[self.base[slot[0]] + slot[1]]
 
-    def _name(self, s):
+    def name(self, s):
+        """(disk, slot) of slot index s."""
         i = self.disk[s]
         return (i, s - self.base[i])
 
@@ -213,13 +213,13 @@ class SurfaceComplex:
 
     @property
     def n_circles(self):
-        return len(self._circles)
+        return len(self.circles)
 
     @cached_property
     def boundary(self):
         """Boundary circles, each a tuple of ((disk, slot), forward)."""
-        return [tuple((self._name(s), bool(f)) for s, f in zip(slots, forward))
-                for slots, forward in self._circles]
+        return [tuple((self.name(s), bool(f)) for s, f in zip(slots, forward))
+                for slots, forward in self.circles]
 
     @cached_property
     def lambda_circles(self):
@@ -233,7 +233,7 @@ class SurfaceComplex:
         for s, t in enumerate(self.partner):
             if 0 <= t < s:
                 continue
-            slots = (self._name(s),) if t < 0 else (self._name(s), self._name(t))
+            slots = (self.name(s),) if t < 0 else (self.name(s), self.name(t))
             out.append(Edge(abs(self.letter[s]), *self._arrow(s), slots))
         return out
 
@@ -578,10 +578,9 @@ class LambdaComponent:
 
 
 def _lambda_circles(S: SurfaceComplex):
-    """(sign, slots, vertices, flags, term, start) per boundary circle,
-    slots as global indices; see :func:`lambda_components`.  Circles
-    repeat a few (sign, flags) shapes many times: each shape's term and
-    start are built once."""
+    """The :class:`LambdaComponent` of every boundary circle; see
+    :func:`lambda_components`.  Circles repeat a few (sign, flags) shapes
+    many times: each shape's term and start are built once."""
     letter, nxt, vertex = S.letter, S.nxt, S.vertex
     b_out = [0] * S.n_vertices
     b_in = [0] * S.n_vertices
@@ -599,7 +598,7 @@ def _lambda_circles(S: SurfaceComplex):
     if S.closed:
         raise LambdaError("closed surface has no boundary invariant")
     shapes, out = {}, []
-    for slots, forward in S._circles:
+    for slots, forward in S.circles:
         # orient the circle along the a-arrows
         dirs = {f == (letter[s] > 0) for s, f in zip(slots, forward)}
         if len(dirs) != 1:
@@ -624,7 +623,8 @@ def _lambda_circles(S: SurfaceComplex):
         if shape is None:
             marked, runs = _lambda_runs(flags)
             shape = shapes[sign, flags] = LambdaTerm(sign, runs), marked[least_rotation(runs)]
-        out.append((sign, slots, verts, flags, *shape))
+        out.append(LambdaComponent(sign, tuple(map(S.name, slots)), tuple(verts), flags,
+                                   *shape))
     return out
 
 
@@ -637,8 +637,7 @@ def lambda_components(S: SurfaceComplex):
     starts at the b-incident arrow where :func:`least_rotation` starts
     its a-run lengths.
     """
-    return [LambdaComponent(sign, tuple(map(S._name, slots)), tuple(verts), flags, term, start)
-            for sign, slots, verts, flags, term, start in S.lambda_circles]
+    return S.lambda_circles
 
 
 def boundary_lambda(S: SurfaceComplex) -> LambdaMultiset:
@@ -648,7 +647,7 @@ def boundary_lambda(S: SurfaceComplex) -> LambdaMultiset:
     outgoing, - when all incoming; the composition lists the a-run lengths
     between b-incident vertices, up to rotation.
     """
-    return LambdaMultiset(tuple(term for *_circle, term, _start in S.lambda_circles))
+    return LambdaMultiset(tuple(c.term for c in S.lambda_circles))
 
 
 def transform_certificate(cert: PolygonalityCertificate, rel: Relabeling):

@@ -187,21 +187,22 @@ def _reversing_gluing(S: SurfaceComplex, ca: int, cb: int):
     glued pair carries the same generator and the two arrows run opposite
     along their walks.  Such a reflection is a homeomorphism of the
     circles that agrees with the head-to-head vertex identification, so
-    the seam pinches no further vertices.  Returns None if no offset fits.
+    the seam pinches no further vertices.  Returns the seam's pairs of
+    (disk, slot), or None if no offset fits.
     """
-    A, B = S.boundary[ca], S.boundary[cb]
+    (A, fa), (B, fb) = S.circles[ca], S.circles[cb]
     n = len(A)
     if len(B) != n:
         return None
 
-    def arrows(circle):
+    def arrows(slots, forward):
         # per entry: (generator, does the arrow run along the walk?)
-        return [(abs(S.slot_letter(s)), f == (S.slot_letter(s) > 0)) for s, f in circle]
+        return [(abs(S.letter[s]), f == (S.letter[s] > 0)) for s, f in zip(slots, forward)]
 
-    ka, kb = arrows(A), arrows(B)
+    ka, kb = arrows(A, fa), arrows(B, fb)
     for r in range(n):
         if all(kb[(r - k) % n] == (g, not along) for k, (g, along) in enumerate(ka)):
-            return [(A[k][0], B[(r - k) % n][0]) for k in range(n)]
+            return [(S.name(A[k]), S.name(B[(r - k) % n])) for k in range(n)]
     return None
 
 
@@ -223,10 +224,10 @@ def construct_isolated_b(w: CyclicWord) -> PolygonalityCertificate:
         return proper_power_certificate(w)
     disks, pairs, _ = two_disk_rotation_data(w)
     S = build_complex(disks, pairs)
-    circle_of = {slot: ci for ci, comp in enumerate(S.boundary) for slot, _f in comp}
+    circle_of = {s: ci for ci, (slots, _f) in enumerate(S.circles) for s in slots}
     groups = defaultdict(list)  # circles by the kind of the junction at their b
     for kind, pos in _isolated_b_junctions(w):
-        groups[kind].append(circle_of[(0, pos)])
+        groups[kind].append(circle_of[pos])  # slot pos of disk 0 has index pos
     matches = [pair for a, b in (("source", "sink"), ("filter", "pollutant"))
                for pair in zip(sorted(groups[a]), sorted(groups[b]))]
     glue = []
@@ -345,10 +346,9 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
     d = lcm(*(size for _v, size in permutation_cycles(perm)))
     _check_block_slots(w, c * d * (P + Q))
 
-    disks = [DiskSpec(w, d * P) for _ in range(c)] + [
-        DiskSpec(w, d * Q) for _ in range(c)
-    ]
+    disks = [DiskSpec(w, d * P)] * c + [DiskSpec(w, d * Q)] * c
     alphas_p, betas_p = _height_one_positions(shape, d * P)
+    alphas_q, betas_q = _height_one_positions(shape, d * Q)
     nf_p = len(alphas_p)
     pairs = []
     for i in range(c):
@@ -356,8 +356,8 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
             jm = j % (P * l)
             target = g_of(jm, i) if jm in sigma else i
             pairs.append(((i, betas_p[(j - 1) % nf_p]), (target % c, alphas_p[j])))
-    for i in range(c):
-        pairs.extend(height_one_q_disk_pairing(shape, d * Q, c + i))
+    for i in range(c, 2 * c):  # each factor's two b-edges on a q-side disk meet
+        pairs.extend(((i, a), (i, b)) for a, b in zip(alphas_q, betas_q))
 
     S = build_complex(disks, pairs)
     check_term_cap(S.n_circles)  # one term per boundary circle, refused before the walk
@@ -368,35 +368,22 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
         u_cert = u_membership(invariant + invariant)
         if u_cert is None:
             raise ConstructionError("doubled boundary invariant not in U for %s" % w)
-    components = lambda_components(S)
-    if doubled:
-        # the block and a copy of it: the copy's circles are the block's, on
-        # disks and vertices shifted past the block's
-        shift, v_shift = len(disks), S.n_vertices
-        disks = disks + disks
-        pairs = pairs + [
-            ((a[0] + shift, a[1]), (b[0] + shift, b[1])) for a, b in pairs
-        ]
-        components = components + [
-            replace(comp, slots=tuple((i + shift, j) for i, j in comp.slots),
-                    vertices=tuple(v + v_shift for v in comp.vertices))
-            for comp in components
-        ]
-
+    # the block's circles, then, when doubled, those of a copy of the block
+    # on the disks past it
+    shifts = (0, len(disks)) if doubled else (0,)
     by_term = {}
-    for ci, comp in enumerate(components):
-        by_term.setdefault(comp.term, []).append(ci)
+    for shift in shifts:
+        for comp in lambda_components(S):
+            by_term.setdefault(comp.term, []).append((comp.slots, comp.start, shift))
+    pairs += [((i + s, j), (k + s, m)) for s in shifts[1:] for (i, j), (k, m) in pairs]
+    disks *= len(shifts)
     glue = []
     for up in u_cert.pairs:
-        ca = components[by_term[up.a].pop(0)]
-        cb = components[by_term[up.b].pop(0)]
-        if up.offset is None:
-            glue.extend(zip(ca.slots, cb.slots))
-        else:
-            # read from their starts, vertex s of ca meets vertex s + offset of cb
-            a = ca.slots[ca.start:] + ca.slots[:ca.start]
-            k = (cb.start + up.offset) % len(cb.slots)
-            glue.extend(zip(a, cb.slots[k:] + cb.slots[:k]))
+        (a, a0, sa), (b, b0, sb) = by_term[up.a].pop(0), by_term[up.b].pop(0)
+        # read from their starts, vertex s of circle a meets vertex s + offset of b
+        ka, kb = (0, 0) if up.offset is None else (a0, (b0 + up.offset) % len(b))
+        glue.extend(((i + sa, j), (k + sb, m))
+                    for (i, j), (k, m) in zip(a[ka:] + a[:ka], b[kb:] + b[:kb]))
     record = {"strategy": "height-one", "c": c, "d": d, "doubled": doubled,
               "shift_factors": sorted(A), "shift_targets": x}
     if swapped:

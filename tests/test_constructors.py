@@ -30,6 +30,7 @@ from polyw.constructors import (
     two_disk_rotation,
     two_disk_rotation_data,
 )
+from polyw.constructors import _reversing_gluing
 from polyw.invariants import (
     LambdaMultiset,
     ResourceCapExceeded,
@@ -148,6 +149,18 @@ def test_sourcesink_equalities_exhaustive():
             assert sources == sinks
             assert filters == pollutants
             assert sources + sinks + filters + pollutants == 2 * m
+
+
+def test_reversing_gluing_seams_only_opposite_circles_of_one_length():
+    # with no pairs, each disk's boundary is one circle walked along the disk
+    w = cyclic_word("ab")
+    unequal = build_complex([DiskSpec(w, 1), DiskSpec(w, 2)], [])
+    assert [len(slots) for slots, _f in unequal.circles] == [2, 4]
+    assert _reversing_gluing(unequal, 0, 1) is None
+    # every arrow runs along its walk on both circles: no offset reverses them
+    assert _reversing_gluing(build_complex([DiskSpec(w, 1)] * 2, []), 0, 1) is None
+    inverse = build_complex([DiskSpec(w, 1), DiskSpec(w, -1)], [])
+    assert _reversing_gluing(inverse, 0, 1) == [((0, 0), (1, 1)), ((0, 1), (1, 0))]
 
 
 def test_isolated_b_examples():
@@ -342,6 +355,25 @@ def test_height_one_refuses_the_term_cap_before_the_walk(monkeypatch):
     with pytest.raises(ResourceCapExceeded) as err:
         construct_height_one(cyclic_word(HEIGHT_ONE_16))
     assert str(err.value) == "multiset has 7770 terms > cap 2048"
+
+
+@pytest.mark.parametrize("text, refused, powers", [
+    (HEIGHT_ONE_16, True, [66, 102]),
+    # doubled and swapped
+    ("a^-3 (a^1)^b a^-3 (a^1)^b a^-1 (a^2)^b a^-2 (a^2)^b", False, [6, 9]),
+    ("a^3 (a)^b", False, [3, 9]),
+])
+def test_height_one_lays_out_each_disk_power_once(monkeypatch, text, refused, powers):
+    # the p-side disks share one layout, and so do the q-side ones
+    calls, real = [], constructors._height_one_positions
+    monkeypatch.setattr(constructors, "_height_one_positions",
+                        lambda shape, k: calls.append(k) or real(shape, k))
+    if refused:
+        with pytest.raises(ResourceCapExceeded):
+            construct_height_one(cyclic_word(text))
+    else:
+        assert construct_height_one(cyclic_word(text)).polygonal
+    assert calls == powers
 
 
 def test_height_one_under_the_term_cap_reaches_u_membership(monkeypatch):
