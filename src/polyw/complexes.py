@@ -578,9 +578,10 @@ class LambdaComponent:
 
 
 def _lambda_circles(S: SurfaceComplex):
-    """The :class:`LambdaComponent` of every boundary circle; see
-    :func:`lambda_components`.  Circles repeat a few (sign, flags) shapes
-    many times: each shape's term and start are built once."""
+    """(sign, slots, vertices, flags, term, start) per boundary circle,
+    slots as global indices; see :func:`lambda_components`.  Circles
+    repeat a few (sign, flags) shapes many times: each shape's term and
+    start are built once."""
     letter, nxt, vertex = S.letter, S.nxt, S.vertex
     b_out = [0] * S.n_vertices
     b_in = [0] * S.n_vertices
@@ -623,8 +624,7 @@ def _lambda_circles(S: SurfaceComplex):
         if shape is None:
             marked, runs = _lambda_runs(flags)
             shape = shapes[sign, flags] = LambdaTerm(sign, runs), marked[least_rotation(runs)]
-        out.append(LambdaComponent(sign, tuple(map(S.name, slots)), tuple(verts), flags,
-                                   *shape))
+        out.append((sign, slots, verts, flags, *shape))
     return out
 
 
@@ -637,7 +637,8 @@ def lambda_components(S: SurfaceComplex):
     starts at the b-incident arrow where :func:`least_rotation` starts
     its a-run lengths.
     """
-    return S.lambda_circles
+    return [LambdaComponent(sign, tuple(map(S.name, slots)), tuple(verts), flags, term, start)
+            for sign, slots, verts, flags, term, start in S.lambda_circles]
 
 
 def boundary_lambda(S: SurfaceComplex) -> LambdaMultiset:
@@ -647,7 +648,7 @@ def boundary_lambda(S: SurfaceComplex) -> LambdaMultiset:
     outgoing, - when all incoming; the composition lists the a-run lengths
     between b-incident vertices, up to rotation.
     """
-    return LambdaMultiset(tuple(c.term for c in S.lambda_circles))
+    return LambdaMultiset(tuple(term for *_circle, term, _start in S.lambda_circles))
 
 
 def transform_certificate(cert: PolygonalityCertificate, rel: Relabeling):

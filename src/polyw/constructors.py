@@ -22,7 +22,6 @@ from .complexes import (
     boundary_lambda,
     build_complex,
     certify,
-    lambda_components,
     proper_power_certificate,
 )
 from .covers import permutation_cycles
@@ -347,17 +346,17 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
     _check_block_slots(w, c * d * (P + Q))
 
     disks = [DiskSpec(w, d * P)] * c + [DiskSpec(w, d * Q)] * c
-    alphas_p, betas_p = _height_one_positions(shape, d * P)
-    alphas_q, betas_q = _height_one_positions(shape, d * Q)
-    nf_p = len(alphas_p)
+    # every p-side disk has one layout and every q-side disk another: lay
+    # each out once, on disk 0, and re-index it per disk; on a p-side disk
+    # the chain's b-edge before factor j is shifted to the disk g_of names
+    chain = height_one_p_disk_pairing(shape, d * P, 0)
+    meet = height_one_q_disk_pairing(shape, d * Q, 0)
     pairs = []
     for i in range(c):
-        for j in range(nf_p):
+        for j, ((_, b), (_, a)) in enumerate(chain):
             jm = j % (P * l)
-            target = g_of(jm, i) if jm in sigma else i
-            pairs.append(((i, betas_p[(j - 1) % nf_p]), (target % c, alphas_p[j])))
-    for i in range(c, 2 * c):  # each factor's two b-edges on a q-side disk meet
-        pairs.extend(((i, a), (i, b)) for a, b in zip(alphas_q, betas_q))
+            pairs.append(((i, b), ((g_of(jm, i) if jm in sigma else i) % c, a)))
+    pairs += [((i, a), (i, b)) for i in range(c, 2 * c) for (_, a), (_, b) in meet]
 
     S = build_complex(disks, pairs)
     check_term_cap(S.n_circles)  # one term per boundary circle, refused before the walk
@@ -373,8 +372,8 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
     shifts = (0, len(disks)) if doubled else (0,)
     by_term = {}
     for shift in shifts:
-        for comp in lambda_components(S):
-            by_term.setdefault(comp.term, []).append((comp.slots, comp.start, shift))
+        for _sign, slots, _verts, _flags, term, start in S.lambda_circles:
+            by_term.setdefault(term, []).append((slots, start, shift))
     pairs += [((i + s, j), (k + s, m)) for s in shifts[1:] for (i, j), (k, m) in pairs]
     disks *= len(shifts)
     glue = []
@@ -382,8 +381,9 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
         (a, a0, sa), (b, b0, sb) = by_term[up.a].pop(0), by_term[up.b].pop(0)
         # read from their starts, vertex s of circle a meets vertex s + offset of b
         ka, kb = (0, 0) if up.offset is None else (a0, (b0 + up.offset) % len(b))
-        glue.extend(((i + sa, j), (k + sb, m))
-                    for (i, j), (k, m) in zip(a[ka:] + a[:ka], b[kb:] + b[:kb]))
+        for s, t in zip(a[ka:] + a[:ka], b[kb:] + b[:kb]):
+            (i, j), (k, m) = S.name(s), S.name(t)
+            glue.append(((i + sa, j), (k + sb, m)))
     record = {"strategy": "height-one", "c": c, "d": d, "doubled": doubled,
               "shift_factors": sorted(A), "shift_targets": x}
     if swapped:

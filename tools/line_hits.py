@@ -7,7 +7,9 @@ process too (the children of subprocess tests are not traced).  It prints
 each executable line of ``src/polyw`` that no run hit, as ``path:line``,
 then the counts.  A line is executable when an instruction of the code
 compiled from its file maps to it (``co_lines``).  A printed line is a
-candidate for removal, not a verdict: see ROADMAP aim 2.
+candidate for removal, not a verdict: see ROADMAP aim 2.  If the suite
+does not pass, pytest's output and exit status come first, and the tool
+exits with that status.
 
     python3 tools/line_hits.py [--tests]
 """
@@ -87,14 +89,21 @@ def main(argv=None):
                         help="also run the tier-1 suite in this process")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    status = 0
     with Hits() as hits:  # set before polyw is imported, so its module lines count
         run_workloads()
         if args.tests:
             import pytest
 
             os.chdir(ROOT)
-            with redirect_stdout(io.StringIO()):
-                pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"])
+            log = io.StringIO()
+            with redirect_stdout(log):
+                status = int(pytest.main(["-q", "-p", "no:cacheprovider"]))
+    if status:
+        # a test that fails or does not collect leaves the lines it would run unhit
+        sys.stdout.write(log.getvalue())
+        print("pytest exited with %d: the counts below miss what its failed tests run"
+              % status)
     total = missed = 0
     for path in sorted(SRC.glob("*.py")):
         lines = executable_lines(path)
@@ -103,7 +112,8 @@ def main(argv=None):
         for line in unhit:
             print("%s:%d" % (path.relative_to(ROOT), line))
     print("%d of %d executable lines not hit" % (missed, total))
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
