@@ -7,7 +7,10 @@ height-one word) and on ladder words: a 144-syllable T_3 word, a
 12-factor isolated-b word, a 4-pair height-one word, and a 16-pair
 height-one word whose 7770-term boundary invariant the term cap
 refuses.  ``render`` and ``cover`` run on the torus and the one-disk
-figure certificate.
+figure certificate.  ``rho``, ``minimize``, ``diskbusting`` and ``stats``
+run on words and arguments that reach each of their outcomes, past the
+Whitehead rank cap included.  Each usage error is pinned by its exact
+stderr, with exit 3 and no stdout.
 """
 
 import hashlib
@@ -15,7 +18,7 @@ import hashlib
 import pytest
 
 from polyw import cli
-from polyw.complexes import DiskSpec, certify
+from polyw.complexes import DiskSpec, certify, proper_power_certificate
 from polyw.search import SearchBounds, enumerate_all
 from polyw.words import cyclic_word
 
@@ -102,3 +105,53 @@ def test_render_and_cover_output_is_pinned(tmp_path, capsys, name, command, dige
     path.write_text(surface_certificate(name).to_json())
     argv = (command[0], str(path)) + command[1:]
     assert stdout_of(capsys, argv) == (0, digest)
+
+
+STATS = ("stats", "--length", "10", "--samples", "20", "--seed", "1", "--format")
+COMMAND_PINS = [
+    (("rho", "a^6 b^-3 c^5 b^4 c^-7"), 0,
+     "2d8687564aa45683f9b6558812da80f9793af648baf4f3430cb762fb8f01f31f"),
+    (("rho", "aCAB"), 1, "3144399cbf3ef9537f2ef13620f17f09f6f63d16900f5aa92f80a1b828c60fb6"),
+    (("minimize", "a b a b^2 a b^3"), 0,
+     "fef9bb45da1e5eb9ca1f4d16337e56224ab7b34ee7ac1a1c5e05595765333a02"),
+    (("diskbusting", "abAB"), 0,
+     "faee2c862ab079a2746ec7a14cf0a2b1e143385c7917feb48ccdc11309190588"),
+    (("diskbusting", "a b^2 a b"), 1,
+     "dd4a043e055066376f154dc4690bdc85fd7865dd80c5f2b6dfccb3226743aaf0"),
+    # rank 7, past the Whitehead move cap
+    (("diskbusting", "abcdefgABCDEFG"), 2,
+     "868f5105b4382256106519c35298ede3a941daf945a4b3fff25a66c40541c80b"),
+    (STATS + ("csv",), 0, "5959ef43a19bf10ac416fbf8df440f81cb305a1cc0aab95fb09573559ffd6a83"),
+    (STATS + ("json",), 0, "88c32d528de3aeef4af7fdb5a7bac0fe7068dbf2c932de4ce271fbab85fa362d"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", COMMAND_PINS,
+                         ids=[a[0] + " " + a[-1] for a, _c, _d in COMMAND_PINS])
+def test_command_output_is_pinned(capsys, argv, code, digest):
+    assert stdout_of(capsys, argv) == (code, digest)
+
+
+# (argv, stderr); "{tmp}" stands for a fresh temporary directory, which
+# holds "proper-power.json", a declarative certificate
+USAGE_PINS = [
+    (("check", "a^"), "parse error: unexpected end of input (at position 2)\n"),
+    (("check", "ab", "--max-disks", "0"),
+     "bad search bounds: bounds must allow at least one disk and power\n"),
+    (("rho", "ab", "--out", "{tmp}/missing/x.json"),
+     "error: [Errno 2] No such file or directory: '{tmp}/missing/x.json'\n"),
+    (("cover", "{tmp}/missing.json"),
+     "cannot load certificate: [Errno 2] No such file or directory: '{tmp}/missing.json'\n"),
+    (("render", "{tmp}/proper-power.json"), "error: the certificate carries no surface\n"),
+    (("stats", "--length", "0", "--samples", "1"),
+     "bad stats arguments: length must be at least 2\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", USAGE_PINS, ids=[" ".join(a) for a, _e in USAGE_PINS])
+def test_usage_error_is_pinned(tmp_path, capsys, argv, err):
+    (tmp_path / "proper-power.json").write_text(
+        proper_power_certificate(cyclic_word("abab")).to_json())
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(tmp=tmp_path) for a in argv])
+    assert (exc.value.code, capsys.readouterr()) == (3, ("", err.format(tmp=tmp_path)))
