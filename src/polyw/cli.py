@@ -59,33 +59,18 @@ class Verdict:
         return self.EXIT[self.status]
 
 
-def _parse(args):
-    try:
-        return cyclic_word(args.word, args.rank)
-    except ValueError as err:  # bad syntax or rank, or the empty word
-        print("parse error: %s" % err, file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+def _usage(prefix, err):
+    """Report a usage error and exit 3."""
+    print("%s: %s" % (prefix, err), file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
 
-def _bounds(args, w):
-    try:
-        bounds = search.SearchBounds(
-            max_disks=args.max_disks,
-            max_edges=args.max_edges,
-            max_power=args.powers,
-            time_budget=args.time_budget,
-        )
-        bounds.edge_limit(len(w))
-    except ValueError as err:
-        print("bad search bounds: %s" % err, file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    return bounds
-
-
-def _write(text, out):
-    """Print the text, or write it to the file ``out``; a file that cannot
-    be written is a usage error.  A reader that closes stdout early gets
-    what it read, and the exit code stays the verdict's."""
+def _write(output, out):
+    """Print the output (a dict as JSON, a str as it is), or write it to the
+    file ``out``; a file that cannot be written is a usage error.  A reader
+    that closes stdout early gets what it read, and the exit code stays the
+    verdict's."""
+    text = output if isinstance(output, str) else json.dumps(output)
     if not out:
         try:
             print(text, flush=True)
@@ -99,12 +84,7 @@ def _write(text, out):
         with open(out, "w") as fh:
             fh.write(text + "\n")
     except OSError as err:
-        print("error: %s" % err, file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def _emit(data, out):
-    _write(json.dumps(data), out)
+        _usage("error", err)
 
 
 def _proper_power(w, _bounds):
@@ -177,27 +157,24 @@ def check_polygonal(w: CyclicWord, strategy="auto", bounds=None) -> Verdict:
     return verdict
 
 
-def cmd_check(args):
-    w = _parse(args)
-    verdict = check_polygonal(w, args.strategy, _bounds(args, w))
-    _emit({"word": str(w), "status": verdict.status, "result": verdict.payload},
-          args.out)
-    return verdict.exit_code
+# Each handler returns (output, exit code); ``main`` parses the word of a
+# command that takes one and reports the resource cap it hits.
 
 
-def _inconclusive(w, err, out):
-    """Report the resource cap a command hit on w."""
-    _emit({"word": str(w), "status": "inconclusive", "reason": str(err)}, out)
-    return EXIT_INCONCLUSIVE
-
-
-def cmd_rho(args):
-    w = _parse(args)
-    element = rho(w)
+def cmd_check(args, w):
     try:
-        cert = tn_membership(element)
-    except ResourceCapExceeded as err:
-        return _inconclusive(w, err, args.out)
+        bounds = search.SearchBounds(max_disks=args.max_disks, max_edges=args.max_edges,
+                                     max_power=args.powers, time_budget=args.time_budget)
+        bounds.edge_limit(len(w))
+    except ValueError as err:
+        _usage("bad search bounds", err)
+    verdict = check_polygonal(w, args.strategy, bounds)
+    return {"word": str(w), "status": verdict.status, "result": verdict.payload}, verdict.exit_code
+
+
+def cmd_rho(args, w):
+    element = rho(w)
+    cert = tn_membership(element)
     data = {
         "word": str(w),
         "rho": ["(%d,%d)" % p for p in element.pairs],
@@ -205,42 +182,28 @@ def cmd_rho(args):
     }
     if cert is not None:
         data["tn_certificate"] = {"cycles": [list(c) for c in cert.cycles]}
-    _emit(data, args.out)
-    return EXIT_YES if cert is not None else EXIT_NO
+    return data, EXIT_YES if cert is not None else EXIT_NO
 
 
-def cmd_minimize(args):
-    w = _parse(args)
-    try:
-        trace = whitehead.minimize(w)
-    except ResourceCapExceeded as err:
-        return _inconclusive(w, err, args.out)
-    _emit(
-        {
-            "start": str(trace.start),
-            "final": str(trace.final),
-            "length": len(trace.final),
-            "moves": [str(m) for m, _w in trace.steps],
-            "words": [str(x) for _m, x in trace.steps],
-        },
-        args.out,
-    )
-    return EXIT_YES
+def cmd_minimize(args, w):
+    trace = whitehead.minimize(w)
+    return {
+        "start": str(trace.start),
+        "final": str(trace.final),
+        "length": len(trace.final),
+        "moves": [str(m) for m, _w in trace.steps],
+        "words": [str(x) for _m, x in trace.steps],
+    }, EXIT_YES
 
 
-def cmd_diskbusting(args):
-    w = _parse(args)
-    try:
-        witness = whitehead.free_factor_witness(w)
-    except ResourceCapExceeded as err:
-        return _inconclusive(w, err, args.out)
+def cmd_diskbusting(args, w):
+    witness = whitehead.free_factor_witness(w)
     data = {"word": str(w), "diskbusting": w.rank > 1 and witness is None}
     if witness is not None:
         # the moves take w to a word in the factor of the generators it keeps
         data["evidence"] = {"moves": [str(m) for m, _w in witness.steps],
                             "final": str(witness.final)}
-    _emit(data, args.out)
-    return EXIT_YES if data["diskbusting"] else EXIT_NO
+    return data, EXIT_YES if data["diskbusting"] else EXIT_NO
 
 
 def _load_certificate(path):
@@ -254,8 +217,7 @@ def _load_certificate(path):
             data = data["result"]
         return PolygonalityCertificate.from_json_dict(data)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as err:
-        print("cannot load certificate: %s" % err, file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage("cannot load certificate", err)
 
 
 def cmd_cover(args):
@@ -263,38 +225,28 @@ def cmd_cover(args):
     try:
         report = covers.double_surface_report(cert)
     except ValueError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return EXIT_USAGE
-    _emit(report.to_json_dict(), args.out)
-    return EXIT_YES
+        _usage("error", err)
+    return report.to_json_dict(), EXIT_YES
 
 
 def cmd_stats(args):
     try:
         report = stats.run_trials(args.length, args.samples, args.seed)
     except ValueError as err:
-        print("bad stats arguments: %s" % err, file=sys.stderr)
-        return EXIT_USAGE
+        _usage("bad stats arguments", err)
     if args.format == "csv":
-        _write(report.csv_header() + "\n" + report.to_csv_row(), args.out)
-    else:
-        _emit(report.to_json_dict(), args.out)
-    return EXIT_YES
+        return report.csv_header() + "\n" + report.to_csv_row(), EXIT_YES
+    return report.to_json_dict(), EXIT_YES
 
 
 def cmd_render(args):
     cert = _load_certificate(args.certificate)
     try:
         S = cert.complex()
-        if args.cover:
-            text = covers.stallings_complete(covers.graph_of_complex(S)).to_dot()
-        else:
-            text = S.to_dot()
+        graph = covers.stallings_complete(covers.graph_of_complex(S)) if args.cover else S
+        return graph.to_dot(), EXIT_YES
     except ValueError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return EXIT_USAGE
-    _write(text, args.out)
-    return EXIT_YES
+        _usage("error", err)
 
 
 def _add_word_arg(p):
@@ -302,7 +254,9 @@ def _add_word_arg(p):
     p.add_argument("--rank", type=int, default=None, help="ambient rank (default: inferred)")
 
 
-def _add_search_args(p):
+def _check_args(p):
+    _add_word_arg(p)
+    p.add_argument("--strategy", choices=STRATEGIES, default="auto")
     p.add_argument("--max-disks", type=int, default=2)
     p.add_argument("--max-edges", type=int, default=0, help="cap on total boundary edges")
     p.add_argument("--powers", type=int, default=2, help="max disk power")
@@ -314,66 +268,57 @@ def _add_search_args(p):
     )
 
 
+def _diskbusting_args(p):
+    _add_word_arg(p)
+    p.add_argument("--orbit-cap", type=int, default=None,
+                   help="accepted for compatibility and ignored: the test enumerates no orbit")
+
+
+def _cover_args(p):
+    p.add_argument("certificate", help="certificate JSON path")
+
+
+def _stats_args(p):
+    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+
+
+def _render_args(p):
+    p.add_argument("certificate")
+    p.add_argument("--cover", action="store_true", help="render the completed cover instead")
+
+
+# The one declaration of each command: (name, help, argument adder, handler).
+COMMANDS = (
+    ("check", "decide polygonality", _check_args, cmd_check),
+    ("rho", "junction invariant and cycle-monoid membership", _add_word_arg, cmd_rho),
+    ("minimize", "Whitehead minimization trace", _add_word_arg, cmd_minimize),
+    ("diskbusting", "proper-free-factor test", _diskbusting_args, cmd_diskbusting),
+    ("cover", "degree / doubled-surface report of a certificate", _cover_args, cmd_cover),
+    ("stats", "random height-one word trials", _stats_args, cmd_stats),
+    ("render", "DOT export of a certificate's 1-skeleton", _render_args, cmd_render),
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="polyw",
         description="decide, certify and construct polygonality of words in free groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="decide polygonality")
-    _add_word_arg(p)
-    p.add_argument(
-        "--strategy",
-        choices=STRATEGIES,
-        default="auto",
-    )
-    _add_search_args(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("rho", help="junction invariant and cycle-monoid membership")
-    _add_word_arg(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_rho)
-
-    p = sub.add_parser("minimize", help="Whitehead minimization trace")
-    _add_word_arg(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_minimize)
-
-    p = sub.add_parser("diskbusting", help="proper-free-factor test")
-    _add_word_arg(p)
-    p.add_argument(
-        "--orbit-cap", type=int, default=None,
-        help="accepted for compatibility and ignored: the test enumerates no orbit",
-    )
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_diskbusting)
-
-    p = sub.add_parser("cover", help="degree / doubled-surface report of a certificate")
-    p.add_argument("certificate", help="certificate JSON path")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_cover)
-
-    p = sub.add_parser("stats", help="random height-one word trials")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("render", help="DOT export of a certificate's 1-skeleton")
-    p.add_argument("certificate")
-    p.add_argument("--cover", action="store_true", help="render the completed cover instead")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_render)
-
+    for name, summary, add_args, handler in COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        add_args(p)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None):
+    """The one place where a command's outcome becomes its output and exit
+    code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -382,7 +327,20 @@ def main(argv=None):
         if err.code not in (0, None):
             raise SystemExit(EXIT_USAGE)
         raise
-    raise SystemExit(args.func(args))
+    if "word" not in args:
+        output, code = args.func(args)
+    else:
+        try:
+            w = cyclic_word(args.word, args.rank)
+        except ValueError as err:  # bad syntax or rank, or the empty word
+            _usage("parse error", err)
+        try:
+            output, code = args.func(args, w)
+        except ResourceCapExceeded as err:
+            output = {"word": str(w), "status": "inconclusive", "reason": str(err)}
+            code = EXIT_INCONCLUSIVE
+    _write(output, args.out)
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -27,9 +27,9 @@ component, the boundary invariant) is one pass over these lists.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, is_dataclass
-from functools import cache, cached_property
-from typing import List, Optional, Sequence, Tuple, get_args, get_origin, get_type_hints
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 from .invariants import LambdaMultiset, LambdaTerm, TnCertificate, UCertificate, UPair
 from .words import (
@@ -372,26 +372,12 @@ def genus_report(S):
     return False, 2 - chi
 
 
-def _same(x):
-    return x
+def _term_json(t):
+    return {"sign": t.sign, "composition": list(t.composition)}
 
 
-@cache
-def _codec(hint):
-    """(encode, decode) between a value of type ``hint`` and its JSON form,
-    read off the types: a dataclass is the dict of its fields and a tuple
-    is a list."""
-    if is_dataclass(hint):
-        types = get_type_hints(hint)
-        parts = [(f.name, *_codec(types[f.name])) for f in fields(hint)]
-        return (lambda x: {name: enc(getattr(x, name)) for name, enc, _dec in parts},
-                lambda x: hint(**{name: dec(x[name]) for name, _enc, dec in parts}))
-    if get_origin(hint) is tuple:
-        enc, dec = _codec(get_args(hint)[0])
-        if enc is _same:
-            return list, tuple
-        return (lambda x: [enc(v) for v in x], lambda x: tuple(map(dec, x)))
-    return _same, _same
+def _term(data):
+    return LambdaTerm(data["sign"], tuple(data["composition"]))
 
 
 # A certificate's JSON layout after its word, rank, disks and pairing, in
@@ -453,10 +439,12 @@ class PolygonalityCertificate:
         }
         data.update((key, getattr(self, key)) for key in _OPTIONAL_KEYS
                     if getattr(self, key) is not None)
-        if self.tn_certificate is not None:
-            data["tn_certificate"] = _codec(TnCertificate)[0](self.tn_certificate)
-        if self.u_certificate is not None:
-            data["u_certificate"] = _codec(Tuple[UPair, ...])[0](self.u_certificate.pairs)
+        tn, u = self.tn_certificate, self.u_certificate
+        if tn is not None:
+            data["tn_certificate"] = {"rank": tn.rank, "cycles": [list(c) for c in tn.cycles]}
+        if u is not None:
+            data["u_certificate"] = [{"a": _term_json(p.a), "b": _term_json(p.b),
+                                      "offset": p.offset} for p in u.pairs]
         return data
 
     def to_json(self):
@@ -484,8 +472,9 @@ class PolygonalityCertificate:
             **{name: verdict[key] for key, name in _VERDICT_KEYS
                if key != "components" or key in verdict},
             **{key: data.get(key) for key in _OPTIONAL_KEYS},
-            tn_certificate=None if tn is None else _codec(TnCertificate)[1](tn),
-            u_certificate=None if u is None else UCertificate(_codec(Tuple[UPair, ...])[1](u)),
+            tn_certificate=None if tn is None else TnCertificate(tn["rank"], tn["cycles"]),
+            u_certificate=None if u is None else UCertificate(tuple(
+                UPair(_term(p["a"]), _term(p["b"]), p["offset"]) for p in u)),
         )
 
 
