@@ -216,7 +216,10 @@ def _load_certificate(path):
         if "status" in data and "result" in data:  # `check` output wrapper
             data = data["result"]
         return PolygonalityCertificate.from_json_dict(data)
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as err:
+    except KeyError as err:
+        _usage("cannot load certificate",
+               "the file holds no polygonal certificate (no field %s)" % err)
+    except (OSError, ValueError, TypeError, RecursionError) as err:
         _usage("cannot load certificate", err)
 
 

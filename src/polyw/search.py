@@ -32,10 +32,13 @@ pair, one pass over the slots re-examines the free slots with an end in
 a class the pair merged and those watching a slot with such an end; no
 other watch can lapse, as a pair's usability reads only the classes of
 its slots' ends and whether its slots are free.  The search backtracks
-as soon as a slot has no usable partner left, and places every slot with
-exactly one, which may force more.  Such a forced pair is the slot's
-only option in every completion below the branch, so the completions are
-still met in lexicographic order of the partner array P (P[s] is the
+as soon as a slot has no usable partner left, and glues a slot with
+exactly one to it as soon as it is found, which may force more.  Such a
+forced pair is the slot's only option in every completion below the
+branch, and usability only shrinks, so it stays forced, or the branch
+fails, whatever is glued after it: the pairs placed, or the failure, do
+not depend on the order the forced pairs are glued in.  The completions
+are still met in lexicographic order of the partner array P (P[s] is the
 slot glued to s): all completions below a branch share its prefix and
 forced pairs, and siblings differ first at the branch slot.  A gluing
 that is legal but not usable belongs to no completion, so the look-ahead
@@ -202,7 +205,13 @@ class _Backtracker:
     ``_touched`` finds the free slots to re-examine: those with an end in
     one of the two merged classes, or watching a slot with one (the glued
     two have one).  No lapsed watch is missed: a pair's usability changes
-    only through the merged classes, or when a partner is glued.  A watch
+    only through the merged classes, or when a partner is glued.
+    ``_propagate`` keeps these slots in one queue, none in it twice, and
+    glues a slot left with one usable partner the moment ``_rewatch``
+    finds it, so the slots re-examined after it see its classes merged.
+    A forced pair lies in every completion below the branch and usability
+    only shrinks, so the pairs placed, or the failure, are the same in any
+    order of gluing; only the watches chosen and the work done differ.  A watch
     that lapses is moved to another usable partner; when there is none it
     stays where it was, so that the pair it names, cut at the current
     level, is usable again once that level is undone.  A watch moves only
@@ -400,25 +409,36 @@ class _Backtracker:
     def _propagate(self, todo, dirty):
         """Place the pairs of ``todo`` and every pair they force, until each
         free slot has two usable partners; False as soon as one has none.
-        ``dirty`` holds the free slots whose watches may have lapsed."""
-        partner = self.partner
-        while True:
-            for s in dirty:
+        ``dirty`` holds the free slots whose watches may have lapsed; they
+        are re-examined first in, first out.  A slot left with one usable
+        partner is glued to it at once, and the slots that gluing touches
+        join the queue unless they are in it."""
+        partner, queued, queue, head = self.partner, bytearray(self.total), list(dirty), 0
+        for s in queue:
+            queued[s] = 1
+        while todo or head < len(queue):
+            if todo:
+                s, t = todo.pop()
+                if partner[s] >= 0 or partner[t] >= 0 or not self._usable(s, t):
+                    return False
+            else:
+                s = queue[head]
+                head += 1
+                queued[s] = 0
+                if partner[s] >= 0:  # glued since it was queued
+                    continue
                 usable = self._rewatch(s)
-                if len(usable) < 2:
-                    if not usable:
-                        return False
-                    todo.append((s, usable[0]))
-            if not todo:
-                return True
-            s, t = todo.pop()
-            if partner[s] >= 0:  # placed since it was forced
-                dirty = ()
-                continue
-            if partner[t] >= 0 or not self._usable(s, t):
-                return False
+                if len(usable) > 1:
+                    continue
+                if not usable:
+                    return False
+                t = usable[0]
             self._join(s, t)
-            dirty = self._touched(s)
+            for u in self._touched(s):
+                if not queued[u]:
+                    queued[u] = 1
+                    queue.append(u)
+        return True
 
     def _agreement(self, watch):
         """The (g, g^-1, i) of ``watch`` still undecided, each i advanced,

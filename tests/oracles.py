@@ -4,12 +4,15 @@ These deliberately re-derive membership from the definitions (set
 partitions, perfect matchings, literal modular-disjointness) with no
 pruning or memoization, so they share no logic with the library's
 backtracking implementations.  The exceptions are
-``ForwardCheckingBacktracker``, the library's search less one test, and
-``TwoScanBacktracker``, the library's search with its earlier rewatch.
+``ForwardCheckingBacktracker``, the library's search less one test,
+``TwoScanBacktracker``, the library's search with its earlier rewatch, and
+``BatchPropagationBacktracker``, the library's search with its earlier
+propagation.
 """
 
 import functools
 import itertools
+import random
 
 from polyw.search import _Backtracker
 
@@ -98,6 +101,23 @@ def rank2_cyclic_words(length):
         except ValueError:
             continue
     return tuple(seen)
+
+
+def random_cyclic_words(rank, length, count, seed):
+    """``count`` cyclically reduced words of the given rank and length,
+    drawn letter by letter from ``random.Random(seed)``."""
+    from polyw.words import CyclicWord
+
+    rng = random.Random(seed)
+    alphabet = [g for g in range(1, rank + 1)] + [-g for g in range(1, rank + 1)]
+    out = []
+    while len(out) < count:
+        letters = [rng.choice(alphabet)]
+        while len(letters) < length:
+            letters.append(rng.choice([x for x in alphabet if x != -letters[-1]]))
+        if letters[0] != -letters[-1]:
+            out.append(CyclicWord(rank, tuple(letters)))
+    return out
 
 
 def power_configs_by_filter(w, bounds):
@@ -1041,6 +1061,34 @@ class TwoScanBacktracker(_Backtracker):
             work += step
         self._tick(work)
         return usable
+
+
+class BatchPropagationBacktracker(_Backtracker):
+    """``polyw.search._Backtracker`` with its propagation as it was: each
+    batch of slots is re-examined whole, the pairs it forces are collected,
+    and only then is one glued and the slots it touched re-examined.  It
+    places the same pairs, or fails at the same nodes, as the search that
+    glues each forced pair at once."""
+
+    def _propagate(self, todo, dirty):
+        partner = self.partner
+        while True:
+            for s in dirty:
+                usable = self._rewatch(s)
+                if len(usable) < 2:
+                    if not usable:
+                        return False
+                    todo.append((s, usable[0]))
+            if not todo:
+                return True
+            s, t = todo.pop()
+            if partner[s] >= 0:  # placed since it was forced
+                dirty = ()
+                continue
+            if partner[t] >= 0 or not self._usable(s, t):
+                return False
+            self._join(s, t)
+            dirty = self._touched(s)
 
 
 def follower_obstruction_reference(w):

@@ -453,6 +453,23 @@ def test_oversized_certificate_is_refused(tmp_path, capsys, command):
     assert not out
 
 
+@pytest.mark.parametrize("command", [("render",), ("render", "--cover"), ("cover",)])
+def test_a_file_without_a_certificate_names_the_missing_field(tmp_path, capsys, command):
+    # the saved output of a not-polygonal `check` holds obstruction evidence
+    # and no word; a T_n part without its cycles is no certificate either
+    saved = tmp_path / "not-polygonal.json"
+    assert run_main("check", "a b a b^2 a b^3", "--out", str(saved)) == 1
+    torus = {"word": "abAB", "rank": 2, "disks": [{"power": 1}],
+             "pairing": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]], "verdict": TORUS_VERDICT,
+             "tn_certificate": {"rank": 2}}
+    (tmp_path / "tn.json").write_text(json.dumps(torus))
+    capsys.readouterr()
+    for name, field in (("not-polygonal.json", "word"), ("tn.json", "cycles")):
+        assert run_main(command[0], str(tmp_path / name), *command[1:]) == 3
+        assert capsys.readouterr() == ("", "cannot load certificate: the file holds no "
+                                           "polygonal certificate (no field '%s')\n" % field)
+
+
 @pytest.mark.parametrize("command", ["minimize", "diskbusting"])
 def test_whitehead_past_the_rank_cap_is_inconclusive(capsys, monkeypatch, command):
     monkeypatch.setattr(cli.whitehead, "MAX_MOVE_RANK", 2)

@@ -1,17 +1,16 @@
 import itertools
-import random
 from collections import Counter
 
 import pytest
 
-from oracles import cycle_cover_lp, rank2_cyclic_words
+from oracles import cycle_cover_lp, random_cyclic_words, rank2_cyclic_words
 from polyw import cyclecover
 from polyw.cli import check_polygonal
 from polyw.constructors import nonpolygonality_follower_obstruction
 from polyw.cyclecover import lp_dual, verify_dual
 from polyw.search import ExhaustedWithin, Found, SearchBounds, decide_polygonal
 from polyw.whitehead import whitehead_edges, whitehead_graph
-from polyw.words import CyclicWord, cyclic_word, is_proper_power, letter_key, word_key
+from polyw.words import cyclic_word, is_proper_power, letter_key, word_key
 
 
 def _rank2_words(max_length):
@@ -21,19 +20,6 @@ def _rank2_words(max_length):
         for w in rank2_cyclic_words(length):
             if not is_proper_power(w):
                 yield w
-
-
-def _random_words(rank, length, count, seed):
-    rng = random.Random(seed)
-    alphabet = [g for g in range(1, rank + 1)] + [-g for g in range(1, rank + 1)]
-    out = []
-    while len(out) < count:
-        letters = [rng.choice(alphabet)]
-        while len(letters) < length:
-            letters.append(rng.choice([x for x in alphabet if x != -letters[-1]]))
-        if letters[0] != -letters[-1]:
-            out.append(CyclicWord(rank, tuple(letters)))
-    return out
 
 
 RANK2_UP_TO_8 = [w for w in _rank2_words(8) if len(w) >= 2]
@@ -57,7 +43,7 @@ def test_fired_words_exhaust_the_search():
     # at 2 disks and power 2 the 16 fired rank-2 words of length 6 take
     # 23 s to exhaust, and those of length 7 and 8 run past 3 s each
     fired = [w for w in _rank2_words(5) if lp_dual(w) is not None]
-    fired += [w for w in _random_words(3, 6, 30, 6) if lp_dual(w) is not None]
+    fired += [w for w in random_cyclic_words(3, 6, 30, 6) if lp_dual(w) is not None]
     assert len(fired) > 40
     for w in fired:
         outcome = decide_polygonal(w, SearchBounds(max_disks=2, max_power=2))
@@ -66,8 +52,9 @@ def test_fired_words_exhaust_the_search():
 
 CLOSED_FORM_WORDS = [
     list(_rank2_words(7)),
-    _random_words(3, 6, 60, 36) + _random_words(3, 8, 40, 38) + _random_words(3, 10, 10, 310),
-    _random_words(4, 8, 10, 48),
+    random_cyclic_words(3, 6, 60, 36) + random_cyclic_words(3, 8, 40, 38)
+    + random_cyclic_words(3, 10, 10, 310),
+    random_cyclic_words(4, 8, 10, 48),
 ]
 CLOSED_FORM_IDS = ["rank2-len1-7", "rank3-len6-10", "rank4-len8"]
 

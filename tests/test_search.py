@@ -6,11 +6,13 @@ import types
 import pytest
 
 from oracles import (
+    BatchPropagationBacktracker,
     ForwardCheckingBacktracker,
     ReferenceBacktracker,
     TwoScanBacktracker,
     certified_pairings,
     power_configs_by_filter,
+    random_cyclic_words,
     rank2_cyclic_words,
     reference_certified,
 )
@@ -130,8 +132,8 @@ def test_obstructed_words_never_found_small_bounds():
 
 def test_time_budget_reports_timeout(monkeypatch):
     # each configuration reads the clock first after _CLOCK_WORK units of
-    # work, here 8,192; (1,), (2,) and (1, 1) end in 129, 2,043 and 2,420,
-    # and (1, 2) exhausts in 29,466, so the first reading, in (1, 2), ends it
+    # work, here 8,192; (1,), (2,) and (1, 1) end in 138, 1,673 and 1,818,
+    # and (1, 2) exhausts in 21,245, so the first reading, in (1, 2), ends it
     monkeypatch.setattr(search, "_CLOCK_WORK", 1 << 13)
     w = cyclic_word("aabbABAb")
     first_three = decide_polygonal(w, SearchBounds(max_disks=2, max_power=2, max_edges=16))
@@ -403,3 +405,52 @@ def test_one_rewatch_scan_chooses_the_watches_of_one_scan_per_lapsed_watch(monke
 
     one_scan, two_scans = watches(search._Backtracker), watches(TwoScanBacktracker)
     assert one_scan[0] and one_scan == two_scans
+
+
+def _propagated(monkeypatch, base, w, bounds, first_only):
+    """The nodes, the partner array after every propagation that succeeds,
+    and the certificates' JSON (the first only, or all that enumerate_all
+    lists) of the search on w with ``base`` as its backtracker."""
+    partners = []
+
+    class Recorded(base):
+        def _propagate(self, todo, dirty):
+            if not super()._propagate(todo, dirty):
+                return False
+            partners.append(tuple(self.partner))
+            return True
+
+    monkeypatch.setattr(search, "_Backtracker", Recorded)
+    progress = search._Progress()
+    listing = search._certified(w, bounds, progress)
+    certs = [cert.to_json_dict() for cert in itertools.islice(listing, 1 if first_only else None)]
+    listing.close()
+    return progress.nodes, partners, certs
+
+
+def test_eager_gluing_places_the_pairs_of_batch_propagation(monkeypatch):
+    # every rank-2 class of length <= 6, listed whole, then 20 seeded words
+    # to their first certificate or exhaustion (aaaBaBBB, aaababaB, aaaBAbab
+    # and abaBABaB exhaust); listing a length-8 word whole takes seconds
+    bounds = SearchBounds(max_disks=2, max_power=2)
+    short = [w for length in range(1, 7) for w in rank2_cyclic_words(length)
+             if not is_proper_power(w)]
+    seeded = random_cyclic_words(2, 8, 10, 28) + random_cyclic_words(2, 12, 10, 28)
+    found, eager_search = 0, search._Backtracker  # before _propagated replaces it
+    for w, first_only in [(w, False) for w in short] + [(w, True) for w in seeded]:
+        eager = _propagated(monkeypatch, eager_search, w, bounds, first_only)
+        batch = _propagated(monkeypatch, BatchPropagationBacktracker, w, bounds, first_only)
+        assert eager == batch, str(w)
+        found += bool(eager[2])
+    assert found > 40
+
+
+@pytest.mark.parametrize("text,nodes", [
+    ("abaBaBaBBBBB", 648), ("abbaBBBaBaBB", 340), ("aaababaB", 70),
+])
+def test_exhausted_searches_keep_their_nodes_and_propagations(monkeypatch, text, nodes):
+    bounds = SearchBounds(max_disks=2, max_power=2)
+    w = cyclic_word(text)
+    eager = _propagated(monkeypatch, search._Backtracker, w, bounds, True)
+    assert eager[0] == nodes and not eager[2]  # exhausted
+    assert _propagated(monkeypatch, BatchPropagationBacktracker, w, bounds, True) == eager
