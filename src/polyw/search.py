@@ -27,23 +27,21 @@ give one class two g-edges the same way, which is not legal.  The search
 glues only usable pairs, so no free slot is ever blocked.
 
 The least unpaired slot is branched on, with its partners in ascending
-order.  Each free slot watches two usable partners.  After each glued
-pair, one pass over the slots re-examines the free slots with an end in
-a class the pair merged and those watching a slot with such an end; no
-other watch can lapse, as a pair's usability reads only the classes of
-its slots' ends and whether its slots are free.  The search backtracks
-as soon as a slot has no usable partner left, and glues a slot with
-exactly one to it as soon as it is found, which may force more.  Such a
-forced pair is the slot's only option in every completion below the
-branch, and usability only shrinks, so it stays forced, or the branch
-fails, whatever is glued after it: the pairs placed, or the failure, do
-not depend on the order the forced pairs are glued in.  The completions
-are still met in lexicographic order of the partner array P (P[s] is the
-slot glued to s): all completions below a branch share its prefix and
-forced pairs, and siblings differ first at the branch slot.  A gluing
-that is legal but not usable belongs to no completion, so the look-ahead
-cuts only subtrees without one: the completions, and their order, are
-those of the search that tests legality alone.
+order.  Each free slot watches two usable partners.  Once the branch's
+pair is glued, passes over the free slots in slot order re-examine every
+one, until a pass glues nothing.  The search backtracks as soon as a
+slot has no usable partner left, and glues a slot with exactly one to it
+at once, which may force more.  Such a forced pair is the slot's only
+option in every completion below the branch, and usability only shrinks,
+so it stays forced, or the branch fails, whatever is glued after it: the
+pairs placed, or the failure, do not depend on which slots are
+re-examined or in what order.  The completions are still met in
+lexicographic order of the partner array P (P[s] is the slot glued to
+s): all completions below a branch share its prefix and forced pairs,
+and siblings differ first at the branch slot.  A gluing that is legal
+but not usable belongs to no completion, so the look-ahead cuts only
+subtrees without one: the completions, and their order, are those of the
+search that tests legality alone.
 
 The group G of a configuration permutes the disks of equal power
 and rotates each disk's base point by multiples of |w|: as w is not a
@@ -147,8 +145,8 @@ def _power_configs(w, bounds):
 
 
 # The deadline is read once _CLOCK_WORK units of work have been done: a slot
-# set up, a candidate partner examined, a slot re-examined, a symmetry image's
-# slot, a node.
+# set up, a candidate partner examined, a slot passed over or re-examined, a
+# symmetry image's slot, a node.
 _CLOCK_WORK = 1 << 15
 
 # A configuration whose G holds more slot images than this is searched without
@@ -201,25 +199,23 @@ class _Backtracker:
     placed, a merge, a mask widened, a count changed) goes on a trail, and
     backtracking pops the trail to a mark.
 
-    Each slot watches two of its usable partners.  After a gluing,
-    ``_touched`` finds the free slots to re-examine: those with an end in
-    one of the two merged classes, or watching a slot with one (the glued
-    two have one).  No lapsed watch is missed: a pair's usability changes
-    only through the merged classes, or when a partner is glued.
-    ``_propagate`` keeps these slots in one queue, none in it twice, and
-    glues a slot left with one usable partner the moment ``_rewatch``
-    finds it, so the slots re-examined after it see its classes merged.
-    A forced pair lies in every completion below the branch and usability
-    only shrinks, so the pairs placed, or the failure, are the same in any
-    order of gluing; only the watches chosen and the work done differ.  A watch
-    that lapses is moved to another usable partner; when there is none it
-    stays where it was, so that the pair it names, cut at the current
-    level, is usable again once that level is undone.  A watch moves only
-    to a partner usable in a state that contains every state the search
-    can backtrack to while the slot is free; usability only shrinks, so no
-    watch is ever undone.  The look-ahead keeps the branch order and the
-    lex-leader cut, and cuts only subtrees with no completion, so the
-    completions come in the same order as without it; only nodes fall.
+    Each slot watches two of its usable partners.  ``_propagate`` passes
+    over the free slots in slot order until a pass glues nothing, and
+    ``_rewatch`` re-examines each: two ``_usable`` calls while its watches
+    hold.  A slot left with one usable partner is glued to it at once, so
+    the slots re-examined after it see its classes merged.  A forced pair
+    lies in every completion below the branch and usability only shrinks,
+    so the pairs placed, or the failure, are the same in any order of
+    re-examination; only the watches chosen and the work done differ.  A
+    watch that lapses is moved to another usable partner; when there is
+    none it stays where it was, so that the pair it names, cut at the
+    current level, is usable again once that level is undone.  A watch
+    moves only to a partner usable in a state that contains every state
+    the search can backtrack to while the slot is free; usability only
+    shrinks, so no watch is ever undone.  The look-ahead keeps the branch
+    order and the lex-leader cut, and cuts only subtrees with no
+    completion, so the completions come in the same order as without it;
+    only nodes fall.
     """
 
     def __init__(self, w, disks, deadline):
@@ -362,21 +358,6 @@ class _Backtracker:
             if x != y:
                 self.parent[y] = y
 
-    def _touched(self, s):
-        """The free slots to re-examine once s is glued (class docstring)."""
-        parent, inside = self.parent, []
-        x, y = self._find(self.tail[s]), self._find(self.head[s])  # the merged classes
-        for v in range(self.total):
-            while parent[v] != v:
-                v = parent[v]
-            inside.append(v == x or v == y)
-        near = [inside[a] or inside[b] for a, b in zip(self.tail, self.head)]
-        near.append(False)  # near[-1]: a watch of -1 names no slot
-        self._tick(self.total)
-        watch = self.watch
-        return [u for u, p in enumerate(self.partner)
-                if p < 0 and (near[u] or near[watch[2 * u]] or near[watch[2 * u + 1]])]
-
     def _rewatch(self, s):
         """The usable partners among s's watches, after each lapsed watch has
         been moved to a usable partner not watched yet, where there is one.
@@ -406,38 +387,27 @@ class _Backtracker:
         self._tick(2 + step)
         return usable
 
-    def _propagate(self, todo, dirty):
+    def _propagate(self, todo):
         """Place the pairs of ``todo`` and every pair they force, until each
         free slot has two usable partners; False as soon as one has none.
-        ``dirty`` holds the free slots whose watches may have lapsed; they
-        are re-examined first in, first out.  A slot left with one usable
-        partner is glued to it at once, and the slots that gluing touches
-        join the queue unless they are in it."""
-        partner, queued, queue, head = self.partner, bytearray(self.total), list(dirty), 0
-        for s in queue:
-            queued[s] = 1
-        while todo or head < len(queue):
-            if todo:
-                s, t = todo.pop()
-                if partner[s] >= 0 or partner[t] >= 0 or not self._usable(s, t):
-                    return False
-            else:
-                s = queue[head]
-                head += 1
-                queued[s] = 0
-                if partner[s] >= 0:  # glued since it was queued
-                    continue
-                usable = self._rewatch(s)
-                if len(usable) > 1:
-                    continue
-                if not usable:
-                    return False
-                t = usable[0]
+        Passes over the free slots in slot order, each re-examined by
+        ``_rewatch`` and glued at once to its partner if it has one usable
+        partner, until a pass glues nothing."""
+        partner = self.partner
+        for s, t in todo:
+            if partner[s] >= 0 or partner[t] >= 0 or not self._usable(s, t):
+                return False
             self._join(s, t)
-            for u in self._touched(s):
-                if not queued[u]:
-                    queued[u] = 1
-                    queue.append(u)
+        glued = True
+        while glued:
+            glued = False
+            self._tick(self.total)
+            for s, t in enumerate(partner):
+                if t < 0 and len(usable := self._rewatch(s)) < 2:
+                    if not usable:
+                        return False
+                    self._join(s, usable[0])
+                    glued = True
         return True
 
     def _agreement(self, watch):
@@ -468,7 +438,7 @@ class _Backtracker:
 
     def _search(self):
         total, partner, key = self.total, self.partner, self.key
-        if not self._propagate([], range(total)):
+        if not self._propagate([]):
             return
         watch = self._agreement([(g, inverse, 0) for g, inverse in self.group])
         if watch is None:
@@ -498,7 +468,7 @@ class _Backtracker:
                     if partner[t] >= 0 or key[t] == key[s]:
                         continue
                     marks = len(self.paired), len(self.trail)
-                    if self._propagate([(s, t)], ()):
+                    if self._propagate([(s, t)]):
                         watch = self._agreement(base)
                     if watch is None:
                         self._undo(marks)

@@ -1066,12 +1066,29 @@ class TwoScanBacktracker(_Backtracker):
 class BatchPropagationBacktracker(_Backtracker):
     """``polyw.search._Backtracker`` with its propagation as it was: each
     batch of slots is re-examined whole, the pairs it forces are collected,
-    and only then is one glued and the slots it touched re-examined.  It
-    places the same pairs, or fails at the same nodes, as the search that
-    glues each forced pair at once."""
+    and only then is one glued and the slots it touched re-examined.  The
+    first call, with an empty ``todo``, examines every slot.  It places the
+    same pairs, or fails at the same nodes, as the search that glues each
+    forced pair at once."""
 
-    def _propagate(self, todo, dirty):
-        partner = self.partner
+    def _touched(self, s):
+        """The free slots to re-examine once s is glued: those with an end
+        in one of the two merged classes, or watching a slot with one."""
+        parent, inside = self.parent, []
+        x, y = self._find(self.tail[s]), self._find(self.head[s])  # the merged classes
+        for v in range(self.total):
+            while parent[v] != v:
+                v = parent[v]
+            inside.append(v == x or v == y)
+        near = [inside[a] or inside[b] for a, b in zip(self.tail, self.head)]
+        near.append(False)  # near[-1]: a watch of -1 names no slot
+        self._tick(self.total)
+        watch = self.watch
+        return [u for u, p in enumerate(self.partner)
+                if p < 0 and (near[u] or near[watch[2 * u]] or near[watch[2 * u + 1]])]
+
+    def _propagate(self, todo):
+        partner, dirty = self.partner, () if todo else range(self.total)
         while True:
             for s in dirty:
                 usable = self._rewatch(s)

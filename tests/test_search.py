@@ -132,8 +132,8 @@ def test_obstructed_words_never_found_small_bounds():
 
 def test_time_budget_reports_timeout(monkeypatch):
     # each configuration reads the clock first after _CLOCK_WORK units of
-    # work, here 8,192; (1,), (2,) and (1, 1) end in 138, 1,673 and 1,818,
-    # and (1, 2) exhausts in 21,245, so the first reading, in (1, 2), ends it
+    # work, here 8,192; (1,), (2,) and (1, 1) end in 122, 1,380 and 1,443,
+    # and (1, 2) exhausts in 16,795, so the first reading, in (1, 2), ends it
     monkeypatch.setattr(search, "_CLOCK_WORK", 1 << 13)
     w = cyclic_word("aabbABAb")
     first_three = decide_polygonal(w, SearchBounds(max_disks=2, max_power=2, max_edges=16))
@@ -361,8 +361,8 @@ def test_propagation_leaves_two_usable_watches_on_every_free_slot(monkeypatch, t
     propagations = []
 
     class Checked(search._Backtracker):
-        def _propagate(self, todo, dirty):
-            if not super()._propagate(todo, dirty):
+        def _propagate(self, todo):
+            if not super()._propagate(todo):
                 return False
             for s in range(self.total):
                 if self.partner[s] < 0:
@@ -390,8 +390,8 @@ def test_one_rewatch_scan_chooses_the_watches_of_one_scan_per_lapsed_watch(monke
         seen = []
 
         class Recorded(base):
-            def _propagate(self, todo, dirty):
-                if not super()._propagate(todo, dirty):
+            def _propagate(self, todo):
+                if not super()._propagate(todo):
                     return False
                 seen.append(list(self.watch))
                 return True
@@ -414,8 +414,8 @@ def _propagated(monkeypatch, base, w, bounds, first_only):
     partners = []
 
     class Recorded(base):
-        def _propagate(self, todo, dirty):
-            if not super()._propagate(todo, dirty):
+        def _propagate(self, todo):
+            if not super()._propagate(todo):
                 return False
             partners.append(tuple(self.partner))
             return True
@@ -429,13 +429,15 @@ def _propagated(monkeypatch, base, w, bounds, first_only):
 
 
 def test_eager_gluing_places_the_pairs_of_batch_propagation(monkeypatch):
-    # every rank-2 class of length <= 6, listed whole, then 20 seeded words
-    # to their first certificate or exhaustion (aaaBaBBB, aaababaB, aaaBAbab
-    # and abaBABaB exhaust); listing a length-8 word whole takes seconds
+    # every rank-2 class of length <= 6, listed whole, then 20 seeded rank-2
+    # words (aaaBaBBB, aaababaB, aaaBAbab and abaBABaB exhaust) and 16
+    # rank-3 ones, whose counts pack three generator fields, to their first
+    # certificate or exhaustion; listing a length-8 word whole takes seconds
     bounds = SearchBounds(max_disks=2, max_power=2)
     short = [w for length in range(1, 7) for w in rank2_cyclic_words(length)
              if not is_proper_power(w)]
-    seeded = random_cyclic_words(2, 8, 10, 28) + random_cyclic_words(2, 12, 10, 28)
+    seeded = (random_cyclic_words(2, 8, 10, 28) + random_cyclic_words(2, 12, 10, 28)
+              + random_cyclic_words(3, 8, 10, 29) + random_cyclic_words(3, 10, 6, 29))
     found, eager_search = 0, search._Backtracker  # before _propagated replaces it
     for w, first_only in [(w, False) for w in short] + [(w, True) for w in seeded]:
         eager = _propagated(monkeypatch, eager_search, w, bounds, first_only)

@@ -5,11 +5,11 @@ checkout's ``src/``, and prints one line per argv: the first 16 hex
 digits of the sha256 of (argv, exit code, stdout, stderr), then the argv.
 The argvs are pass 0 of the benchmark's four workloads at each of
 ``--seeds`` (read from ``bench/corpus.py``), then a fixed list: every
-command's ``--help`` at ``COLUMNS=80``, the resource caps, the usage
-errors, and ``cover`` and ``render`` of certificates written to a
-temporary directory, some of them malformed.  The directory's path reads
-``<tmp>`` in what is hashed and printed.  Run it in two checkouts and
-compare:
+command's ``--help`` at ``COLUMNS=80``, the resource caps, ``check
+--strategy search`` on four words, the usage errors, and ``cover`` and
+``render`` of certificates written to a temporary directory, some of
+them malformed.  The directory's path reads ``<tmp>`` in what is hashed
+and printed.  Run it in two checkouts and compare:
 
     python3 tools/same_outputs.py --seeds 1 2 > before.txt
     python3 tools/same_outputs.py --seeds 1 2 > after.txt   # the other checkout
@@ -62,6 +62,9 @@ FIXED = [
     ("minimize", "a b a b^2 a b^3"), ("diskbusting", "abAB"), ("diskbusting", "a b^2 a b"),
     ("stats", "--length", "10", "--samples", "20", "--seed", "1"),
     ("stats", "--length", "10", "--samples", "20", "--seed", "1", "--format", "json"),
+    # the search alone: three words that exhaust (their node counts), one it certifies
+    *(("check", word, "--strategy", "search")
+      for word in ("abaBaBaBBBBB", "abbaBBBaBaBB", "aaababaB", "aabbABAb")),
     # usage errors: argparse's, then each of the program's
     (), ("frobnicate",), ("check",), ("check", "ab", "--strategy", "nope"),
     ("check", "ab", "--rank", "x"), ("stats", "--length", "10"),
