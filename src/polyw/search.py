@@ -28,20 +28,31 @@ glues only usable pairs, so no free slot is ever blocked.
 
 The least unpaired slot is branched on, with its partners in ascending
 order.  Each free slot watches two usable partners.  Once the branch's
-pair is glued, passes over the free slots in slot order re-examine every
-one, until a pass glues nothing.  The search backtracks as soon as a
-slot has no usable partner left, and glues a slot with exactly one to it
-at once, which may force more.  Such a forced pair is the slot's only
-option in every completion below the branch, and usability only shrinks,
-so it stays forced, or the branch fails, whatever is glued after it: the
-pairs placed, or the failure, do not depend on which slots are
-re-examined or in what order.  The completions are still met in
-lexicographic order of the partner array P (P[s] is the slot glued to
-s): all completions below a branch share its prefix and forced pairs,
-and siblings differ first at the branch slot.  A gluing that is legal
-but not usable belongs to no completion, so the look-ahead cuts only
-subtrees without one: the completions, and their order, are those of the
-search that tests legality alone.
+pair is glued, the free slots are re-examined in cyclic slot order from
+the first, until every slot has been passed since the last gluing.  The
+search backtracks as soon as a slot has no usable partner left, and
+glues a slot with exactly one to it at once, which may force more.  Such
+a forced pair is the slot's only option in every completion below the
+branch, and usability only shrinks, so it stays forced, or the branch
+fails, whatever is glued after it: the pairs placed, or the failure, do
+not depend on which slots are re-examined or in what order.  The
+completions are still met in lexicographic order of the partner array P
+(P[s] is the slot glued to s): all completions below a branch share its
+prefix and forced pairs, and siblings differ first at the branch slot.
+A gluing that is legal but not usable belongs to no completion, so the
+look-ahead cuts only subtrees without one: the completions, and their
+order, are those of the search that tests legality alone.
+
+A re-examined watch needs no look-ahead when no gluing since the
+propagation began has changed its classes.  Each gluing is numbered, and
+stamps the roots of the classes it changes with its number.  When a
+propagation begins, every free slot's two watches are usable: the
+node's own propagation ended with each one checked, and a watch only
+moves to a partner usable in a state that contains the current one.
+Usability of a pair reads only the roots of its two tail classes and two
+head classes.  So a watch of two free slots whose four roots carry no
+stamp newer than the propagation's start is usable still.  Backtracking
+leaves the stamps alone: the next propagation begins past all of them.
 
 The group G of a configuration permutes the disks of equal power
 and rotates each disk's base point by multiples of |w|: as w is not a
@@ -145,8 +156,9 @@ def _power_configs(w, bounds):
 
 
 # The deadline is read once _CLOCK_WORK units of work have been done: a slot
-# set up, a candidate partner examined, a slot passed over or re-examined, a
-# symmetry image's slot, a node.
+# set up, a candidate partner examined, each slot of a round of propagation,
+# a watch re-examined (with or without its look-ahead), a symmetry image's
+# slot, a node.
 _CLOCK_WORK = 1 << 15
 
 # A configuration whose G holds more slot images than this is searched without
@@ -199,13 +211,17 @@ class _Backtracker:
     placed, a merge, a mask widened, a count changed) goes on a trail, and
     backtracking pops the trail to a mark.
 
-    Each slot watches two of its usable partners.  ``_propagate`` passes
-    over the free slots in slot order until a pass glues nothing, and
-    ``_rewatch`` re-examines each: two ``_usable`` calls while its watches
-    hold.  A slot left with one usable partner is glued to it at once, so
-    the slots re-examined after it see its classes merged.  A forced pair
-    lies in every completion below the branch and usability only shrinks,
-    so the pairs placed, or the failure, are the same in any order of
+    Each slot watches two of its usable partners.  ``_propagate`` goes
+    round the free slots in slot order until it has passed every slot
+    since its last gluing, and ``_rewatch`` re-examines each.  A watch
+    counts as usable with no ``_usable`` call when ``_settled`` finds that
+    no gluing of this propagation has stamped a root of the two slots'
+    classes: ``_join`` stamps each root it changes with the number of the
+    gluing, and every watch is usable when a propagation begins.  A slot
+    left with one usable partner is glued to it at once, so the slots
+    re-examined after it see its classes merged.  A forced pair lies in
+    every completion below the branch and usability only shrinks, so the
+    pairs placed, or the failure, are the same in any order of
     re-examination; only the watches chosen and the work done differ.  A
     watch that lapses is moved to another usable partner; when there is
     none it stays where it was, so that the pair it names, cut at the
@@ -250,6 +266,8 @@ class _Backtracker:
         self.in_mask, self.out_mask = [0] * total, [0] * total  # per root: edges entering, leaving
         self.paired, self.trail = [], []  # slots placed first in a pair; merges
         self.watch = [-1] * (2 * total)  # watch[2s + i]: the i-th partner s watches
+        self.stamp = [0] * total  # per root: the gluing that last changed its class
+        self.gluings = self.since = 0  # gluings so far; their count when propagation began
         self._tick(total)
 
     def _find(self, v):
@@ -326,7 +344,8 @@ class _Backtracker:
         out of the free-slot counts."""
         parent, rank, in_m, out_m, tails, heads = (
             self.parent, self.rank_uf, self.in_mask, self.out_mask, self.tails, self.heads)
-        bit = self.bit[s]
+        bit, stamp = self.bit[s], self.stamp
+        self.gluings += 1
         for u, v, in_bit, out_bit in ((self.tail[s], self.tail[t], 0, bit),
                                       (self.head[s], self.head[t], bit, 0)):
             x, y = self._find(u), self._find(v)
@@ -342,6 +361,7 @@ class _Backtracker:
             out_m[x] |= out_m[y] | out_bit
             tails[x] -= 2 * out_bit
             heads[x] -= 2 * in_bit
+            stamp[x] = self.gluings
         self.partner[s], self.partner[t] = t, s
         self.paired.append(s)
 
@@ -358,6 +378,17 @@ class _Backtracker:
             if x != y:
                 self.parent[y] = y
 
+    def _settled(self, s):
+        """Whether no gluing since the propagation began has changed the
+        classes of s's tail and head."""
+        parent, stamp, since = self.parent, self.stamp, self.since
+        a, c = self.tail[s], self.head[s]
+        while parent[a] != a:
+            a = parent[a]
+        while parent[c] != c:
+            c = parent[c]
+        return stamp[a] <= since and stamp[c] <= since
+
     def _rewatch(self, s):
         """The usable partners among s's watches, after each lapsed watch has
         been moved to a usable partner not watched yet, where there is one.
@@ -367,10 +398,10 @@ class _Backtracker:
         meets.  A second scan would restart there in the same state and pass
         over the first's pick, so the watches chosen are those of two scans."""
         watch, partner, key = self.watch, self.partner, self.key
-        usable, lapsed, step = [], [], 0
+        usable, lapsed, step, settled = [], [], 0, self._settled(s)
         for k in (2 * s, 2 * s + 1):
             t = watch[k]
-            if t >= 0 and partner[t] < 0 and self._usable(s, t):
+            if t >= 0 and partner[t] < 0 and (settled and self._settled(t) or self._usable(s, t)):
                 usable.append(t)
             else:
                 lapsed.append(k)
@@ -390,24 +421,27 @@ class _Backtracker:
     def _propagate(self, todo):
         """Place the pairs of ``todo`` and every pair they force, until each
         free slot has two usable partners; False as soon as one has none.
-        Passes over the free slots in slot order, each re-examined by
-        ``_rewatch`` and glued at once to its partner if it has one usable
-        partner, until a pass glues nothing."""
-        partner = self.partner
+        Goes round the free slots in slot order, from the first, each
+        re-examined by ``_rewatch`` and glued at once to its partner if it
+        has one usable partner, until it has passed every slot since its
+        last gluing."""
+        partner, total = self.partner, self.total
+        self.since = self.gluings
         for s, t in todo:
             if partner[s] >= 0 or partner[t] >= 0 or not self._usable(s, t):
                 return False
             self._join(s, t)
-        glued = True
-        while glued:
-            glued = False
-            self._tick(self.total)
-            for s, t in enumerate(partner):
-                if t < 0 and len(usable := self._rewatch(s)) < 2:
-                    if not usable:
-                        return False
-                    self._join(s, usable[0])
-                    glued = True
+        s = quiet = 0  # quiet: slots passed since the last gluing
+        while quiet < total:
+            if s == 0:
+                self._tick(total)
+            if partner[s] < 0 and len(usable := self._rewatch(s)) < 2:
+                if not usable:
+                    return False
+                self._join(s, usable[0])
+                quiet = 0
+            quiet += 1
+            s = (s + 1) % total
         return True
 
     def _agreement(self, watch):

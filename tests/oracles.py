@@ -6,8 +6,8 @@ pruning or memoization, so they share no logic with the library's
 backtracking implementations.  The exceptions are
 ``ForwardCheckingBacktracker``, the library's search less one test,
 ``TwoScanBacktracker``, the library's search with its earlier rewatch, and
-``BatchPropagationBacktracker``, the library's search with its earlier
-propagation.
+``PassByPassBacktracker`` and ``BatchPropagationBacktracker``, the
+library's search with its earlier propagations.
 """
 
 import functools
@@ -1031,7 +1031,9 @@ def reference_certified(w, bounds, counter=None):
 class ForwardCheckingBacktracker(_Backtracker):
     """``polyw.search._Backtracker`` without its look-ahead: a pair is
     usable when it is legal.  It meets the same completions, in the same
-    order, through more nodes."""
+    order, through more nodes.  It keeps the shortcut for watches whose
+    classes no gluing has changed: legality too reads only the roots of
+    the pair's four classes, and only shrinks."""
 
     _usable = _Backtracker._legal
 
@@ -1063,8 +1065,38 @@ class TwoScanBacktracker(_Backtracker):
         return usable
 
 
-class BatchPropagationBacktracker(_Backtracker):
-    """``polyw.search._Backtracker`` with its propagation as it was: each
+class PassByPassBacktracker(_Backtracker):
+    """``polyw.search._Backtracker`` with its propagation as it was: passes
+    over the free slots in slot order, each re-examined by ``_rewatch``
+    with a ``_usable`` call per watch, until a pass glues nothing.  It
+    glues the same pairs, and moves the watches the same way, as the
+    search that re-examines slots only since its last gluing and takes a
+    watch whose classes no gluing has changed as usable."""
+
+    def _settled(self, s):
+        return False  # every watch is checked by _usable
+
+    def _propagate(self, todo):
+        partner = self.partner
+        for s, t in todo:
+            if partner[s] >= 0 or partner[t] >= 0 or not self._usable(s, t):
+                return False
+            self._join(s, t)
+        glued = True
+        while glued:
+            glued = False
+            self._tick(self.total)
+            for s, t in enumerate(partner):
+                if t < 0 and len(usable := self._rewatch(s)) < 2:
+                    if not usable:
+                        return False
+                    self._join(s, usable[0])
+                    glued = True
+        return True
+
+
+class BatchPropagationBacktracker(PassByPassBacktracker):
+    """``polyw.search._Backtracker`` with an earlier propagation: each
     batch of slots is re-examined whole, the pairs it forces are collected,
     and only then is one glued and the slots it touched re-examined.  The
     first call, with an empty ``todo``, examines every slot.  It places the

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     BatchPropagationBacktracker,
     ForwardCheckingBacktracker,
+    PassByPassBacktracker,
     ReferenceBacktracker,
     TwoScanBacktracker,
     certified_pairings,
@@ -132,8 +133,8 @@ def test_obstructed_words_never_found_small_bounds():
 
 def test_time_budget_reports_timeout(monkeypatch):
     # each configuration reads the clock first after _CLOCK_WORK units of
-    # work, here 8,192; (1,), (2,) and (1, 1) end in 122, 1,380 and 1,443,
-    # and (1, 2) exhausts in 16,795, so the first reading, in (1, 2), ends it
+    # work, here 8,192; (1,), (2,) and (1, 1) end in 122, 1,362 and 1,431,
+    # and (1, 2) exhausts in 16,265, so the first reading, in (1, 2), ends it
     monkeypatch.setattr(search, "_CLOCK_WORK", 1 << 13)
     w = cyclic_word("aabbABAb")
     first_three = decide_polygonal(w, SearchBounds(max_disks=2, max_power=2, max_edges=16))
@@ -173,19 +174,51 @@ def test_decide_returns_first_certificate_of_enumeration(text):
     assert decide_polygonal(w, bounds).certificate.to_json_dict() == first.to_json_dict()
 
 
-def test_timeout_bounded_on_long_word():
-    # a node of this 1200-slot search scans hundreds of candidate partners,
-    # so the clock is read by work done as well as by nodes
+def _long_word():
+    """A random cyclically reduced rank-2 word of 1200 letters."""
     rng = random.Random(1200)
     letters = [1]
     while len(letters) < 1199:
         letters.append(rng.choice([x for x in (1, -1, 2, -2) if x != -letters[-1]]))
     letters.append(2 if letters[-1] != -2 else -2)
-    w = CyclicWord(2, tuple(letters))
+    return CyclicWord(2, tuple(letters))
+
+
+def test_timeout_bounded_on_long_word():
+    # a node of this 1200-slot search scans hundreds of candidate partners,
+    # so the clock is read by work done as well as by nodes
+    w = _long_word()
     start = time.monotonic()
     out = decide_polygonal(w, SearchBounds(max_disks=1, max_power=1, time_budget=0.5))
     assert isinstance(out, TimedOut)
     assert time.monotonic() - start < 2.5
+
+
+def test_long_word_propagations_check_only_the_watches_a_gluing_changed():
+    # over the first 100 nodes at 1 disk and power 1, 892 branch
+    # propagations make about 500,000 _usable calls when every free slot's
+    # two watches are checked by a pass, about 150,000 when a watch whose
+    # classes no gluing has changed is taken as usable
+    class Enough(Exception):
+        pass
+
+    class Counted(search._Backtracker):
+        calls = 0
+
+        def _usable(self, s, t):
+            Counted.calls += 1
+            return super()._usable(s, t)
+
+        def _propagate(self, todo):
+            if self.nodes > 100:
+                raise Enough
+            return super()._propagate(todo)
+
+    w = _long_word()
+    with pytest.raises(Enough):
+        for _ in Counted(w, [DiskSpec(w, 1)], None)._search():
+            pass
+    assert Counted.calls < 250_000
 
 
 ORACLE_CASES = [
@@ -350,6 +383,18 @@ def test_deadline_covers_the_search_setup(monkeypatch):
     assert out == TimedOut(out.bounds, 0, 0)
 
 
+def _assert_watches_usable(bt, label):
+    """Each free slot of ``bt`` watches two distinct free slots it may
+    still be glued to."""
+    for s in range(bt.total):
+        if bt.partner[s] < 0:
+            t, u = bt.watch[2 * s], bt.watch[2 * s + 1]
+            assert t != u and min(t, u) >= 0, (label, s)
+            for v in (t, u):
+                assert bt.partner[v] < 0 and bt.key[v] != bt.key[s], (label, s)
+                assert bt.bit[v] == bt.bit[s] and bt._usable(s, v), (label, s)
+
+
 @pytest.mark.parametrize("text", [
     "aabbABAb", "aBBBBBAB", "abaBAbabbbAb", "AABAAbaBBBAB", "aaBABabb",
     "a b c a^-1 b^-1 c^-1", "a (a^2)^b",
@@ -364,13 +409,7 @@ def test_propagation_leaves_two_usable_watches_on_every_free_slot(monkeypatch, t
         def _propagate(self, todo):
             if not super()._propagate(todo):
                 return False
-            for s in range(self.total):
-                if self.partner[s] < 0:
-                    t, u = self.watch[2 * s], self.watch[2 * s + 1]
-                    assert t != u and min(t, u) >= 0, (text, s)
-                    for v in (t, u):
-                        assert self.partner[v] < 0 and self.key[v] != self.key[s], (text, s)
-                        assert self.bit[v] == self.bit[s] and self._usable(s, v), (text, s)
+            _assert_watches_usable(self, text)
             propagations.append(self.total)
             return True
 
@@ -408,16 +447,17 @@ def test_one_rewatch_scan_chooses_the_watches_of_one_scan_per_lapsed_watch(monke
 
 
 def _propagated(monkeypatch, base, w, bounds, first_only):
-    """The nodes, the partner array after every propagation that succeeds,
-    and the certificates' JSON (the first only, or all that enumerate_all
-    lists) of the search on w with ``base`` as its backtracker."""
-    partners = []
+    """The nodes, the partner and watch arrays after every propagation that
+    succeeds, and the certificates' JSON (the first only, or all that
+    enumerate_all lists) of the search on w with ``base`` as its
+    backtracker."""
+    states = []
 
     class Recorded(base):
         def _propagate(self, todo):
             if not super()._propagate(todo):
                 return False
-            partners.append(tuple(self.partner))
+            states.append((tuple(self.partner), tuple(self.watch)))
             return True
 
     monkeypatch.setattr(search, "_Backtracker", Recorded)
@@ -425,26 +465,70 @@ def _propagated(monkeypatch, base, w, bounds, first_only):
     listing = search._certified(w, bounds, progress)
     certs = [cert.to_json_dict() for cert in itertools.islice(listing, 1 if first_only else None)]
     listing.close()
-    return progress.nodes, partners, certs
+    return progress.nodes, states, certs
 
 
-def test_eager_gluing_places_the_pairs_of_batch_propagation(monkeypatch):
-    # every rank-2 class of length <= 6, listed whole, then 20 seeded rank-2
-    # words (aaaBaBBB, aaababaB, aaaBAbab and abaBABaB exhaust) and 16
-    # rank-3 ones, whose counts pack three generator fields, to their first
-    # certificate or exhaustion; listing a length-8 word whole takes seconds
-    bounds = SearchBounds(max_disks=2, max_power=2)
+def _placed(run):
+    """A run of ``_propagated`` without its watch arrays."""
+    nodes, states, certs = run
+    return nodes, [partner for partner, _ in states], certs
+
+
+def _search_words():
+    """Every rank-2 class of length <= 6, each to be listed whole, then 20
+    seeded rank-2 words (aaaBaBBB, aaababaB, aaaBAbab and abaBABaB exhaust)
+    and 16 rank-3 ones, whose counts pack three generator fields, each to
+    its first certificate or exhaustion; listing a length-8 word whole
+    takes seconds."""
     short = [w for length in range(1, 7) for w in rank2_cyclic_words(length)
              if not is_proper_power(w)]
     seeded = (random_cyclic_words(2, 8, 10, 28) + random_cyclic_words(2, 12, 10, 28)
               + random_cyclic_words(3, 8, 10, 29) + random_cyclic_words(3, 10, 6, 29))
+    return [(w, False) for w in short] + [(w, True) for w in seeded]
+
+
+def test_eager_gluing_places_the_pairs_of_batch_propagation(monkeypatch):
+    bounds = SearchBounds(max_disks=2, max_power=2)
     found, eager_search = 0, search._Backtracker  # before _propagated replaces it
-    for w, first_only in [(w, False) for w in short] + [(w, True) for w in seeded]:
-        eager = _propagated(monkeypatch, eager_search, w, bounds, first_only)
-        batch = _propagated(monkeypatch, BatchPropagationBacktracker, w, bounds, first_only)
+    for w, first_only in _search_words():
+        eager = _placed(_propagated(monkeypatch, eager_search, w, bounds, first_only))
+        batch = _placed(_propagated(monkeypatch, BatchPropagationBacktracker, w, bounds, first_only))
         assert eager == batch, str(w)
         found += bool(eager[2])
     assert found > 40
+
+
+def test_settled_watches_keep_the_watches_of_the_pass_by_pass_search(monkeypatch):
+    # taking a watch whose classes no gluing has changed since the
+    # propagation began as usable, and stopping once every slot has been
+    # passed since the last gluing, changes no node, placed pair, watch or
+    # certificate of the search that checks every watch with _usable
+    bounds = SearchBounds(max_disks=2, max_power=2)
+    settled_search = search._Backtracker  # before _propagated replaces it
+    for w, first_only in _search_words():
+        settled = _propagated(monkeypatch, settled_search, w, bounds, first_only)
+        assert settled == _propagated(monkeypatch, PassByPassBacktracker, w, bounds, first_only), str(w)
+
+
+def test_every_watch_is_usable_when_a_branch_begins(monkeypatch):
+    # the premise of the settled-watch shortcut: when a branch's pair is
+    # about to be glued, each free slot watches two slots it may be glued to
+    branches = []
+
+    class Premise(search._Backtracker):
+        def _propagate(self, todo):
+            if todo:
+                _assert_watches_usable(self, todo)
+                branches.append(todo)
+            return super()._propagate(todo)
+
+    monkeypatch.setattr(search, "_Backtracker", Premise)
+    bounds = SearchBounds(max_disks=2, max_power=2)
+    for w, first_only in _search_words():
+        listing = enumerate_all(w, bounds)
+        list(itertools.islice(listing, 1 if first_only else None))
+        listing.close()
+    assert len(branches) > 10_000
 
 
 @pytest.mark.parametrize("text,nodes", [
@@ -453,6 +537,6 @@ def test_eager_gluing_places_the_pairs_of_batch_propagation(monkeypatch):
 def test_exhausted_searches_keep_their_nodes_and_propagations(monkeypatch, text, nodes):
     bounds = SearchBounds(max_disks=2, max_power=2)
     w = cyclic_word(text)
-    eager = _propagated(monkeypatch, search._Backtracker, w, bounds, True)
+    eager = _placed(_propagated(monkeypatch, search._Backtracker, w, bounds, True))
     assert eager[0] == nodes and not eager[2]  # exhausted
-    assert _propagated(monkeypatch, BatchPropagationBacktracker, w, bounds, True) == eager
+    assert _placed(_propagated(monkeypatch, BatchPropagationBacktracker, w, bounds, True)) == eager

@@ -6,7 +6,7 @@ digits of the sha256 of (argv, exit code, stdout, stderr), then the argv.
 The argvs are pass 0 of the benchmark's four workloads at each of
 ``--seeds`` (read from ``bench/corpus.py``), then a fixed list: every
 command's ``--help`` at ``COLUMNS=80``, the resource caps, ``check
---strategy search`` on four words, the usage errors, and ``cover`` and
+--strategy search`` on six words, the usage errors, and ``cover`` and
 ``render`` of certificates written to a temporary directory, some of
 them malformed.  The directory's path reads ``<tmp>`` in what is hashed
 and printed.  Run it in two checkouts and compare:
@@ -62,9 +62,11 @@ FIXED = [
     ("minimize", "a b a b^2 a b^3"), ("diskbusting", "abAB"), ("diskbusting", "a b^2 a b"),
     ("stats", "--length", "10", "--samples", "20", "--seed", "1"),
     ("stats", "--length", "10", "--samples", "20", "--seed", "1", "--format", "json"),
-    # the search alone: three words that exhaust (their node counts), one it certifies
+    # the search alone: three words that exhaust (their node counts), one it
+    # certifies, then two rank-3 words that exhaust
     *(("check", word, "--strategy", "search")
-      for word in ("abaBaBaBBBBB", "abbaBBBaBaBB", "aaababaB", "aabbABAb")),
+      for word in ("abaBaBaBBBBB", "abbaBBBaBaBB", "aaababaB", "aabbABAb",
+                   "AACbABBcBB", "acbcbcaC")),
     # usage errors: argparse's, then each of the program's
     (), ("frobnicate",), ("check",), ("check", "ab", "--strategy", "nope"),
     ("check", "ab", "--rank", "x"), ("stats", "--length", "10"),
