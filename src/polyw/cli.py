@@ -6,6 +6,7 @@ Every command runs on the standard library alone.
 
 ``check`` walks one ladder, in order: proper power, T_n cycle gluing,
 isolated b, simple height one, the cycle-cover LP, the bounded search.
+Every strategy answers a proper power first, at the ladder's first rung.
 ``_verdict`` maps every rung's outcome: a certificate to polygonal, negative
 evidence to not-polygonal, a word outside the hypothesis to not-applicable,
 a cap or a failed construction to inconclusive with the reason, and an
@@ -110,8 +111,9 @@ def _cycle_cover(w, _bounds):
     return {"evidence": "cycle-cover-lp", "dual": dual}
 
 
-# The ladder in ``auto`` order; ``--strategy`` runs one rung by name.  The
-# lambdas look the constructors up when run, so patched attributes are seen.
+# The ladder in ``auto`` order; ``--strategy`` runs one rung by name, after
+# the proper-power rung.  The lambdas look the constructors up when run, so
+# patched attributes are seen.
 LADDER = (
     ("proper-power", _proper_power),
     ("tn", _tn),
@@ -145,12 +147,13 @@ def _verdict(rung, w, bounds):
 def check_polygonal(w: CyclicWord, strategy="auto", bounds=None) -> Verdict:
     """Decide/certify polygonality, as ``polyw check`` does.  ``auto`` stops
     at the first rung of ``LADDER`` that is not "not-applicable" (the
-    search, last, never is); any other strategy runs its one rung."""
+    search, last, never is); any other strategy runs the proper-power rung,
+    then, unless that answered, its own rung."""
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % strategy)
     bounds = bounds or search.SearchBounds()
     for name, rung in LADDER:
-        if strategy in ("auto", name):
+        if strategy in ("auto", name) or name == "proper-power":
             verdict = _verdict(rung, w, bounds)
             if verdict.status != "not-applicable":
                 break

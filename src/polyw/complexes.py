@@ -1,13 +1,16 @@
 """Polygonal disks, side-pairings, quotient surfaces, and the certifier.
 
-A disk's boundary reads a nonzero power of a cyclic word; a side-pairing
-identifies boundary 1-cells in pairs, matching the labeled arrows head to
-head and tail to tail.  The quotient is a closed surface when the pairing
-is total.  A word is certified polygonal by a closed quotient that stays
-an immersion over the rose (per vertex and generator, at most one
-incoming and one outgoing edge) and has Euler characteristic below the
-disk count on every connected component.  ``certify`` is the only
-authority on that verdict; constructors and the search only propose.
+A disk system is one cyclic word w and its nonzero powers: disk i reads
+w^powers[i] round its boundary (:func:`disk_letters`), and the complex,
+the certifier and the certificate all hold it as (w, powers).  A
+side-pairing identifies boundary 1-cells in pairs, matching the labeled
+arrows head to head and tail to tail.  The quotient is a closed surface
+when the pairing is total.  A word is certified polygonal by a closed
+quotient that stays an immersion over the rose (per vertex and
+generator, at most one incoming and one outgoing edge) and has Euler
+characteristic below the disk count on every connected component.
+``certify`` is the only authority on that verdict; constructors and the
+search only propose.
 
 Slot j of disk i, the 1-cell reading its j-th boundary letter, has the
 global index s = base[i] + j, base[i] being the total size of the disks
@@ -55,30 +58,11 @@ class LambdaError(ValueError):
     """The complex does not arise from a consistent b-side-pairing."""
 
 
-@dataclass(frozen=True)
-class DiskSpec:
-    """A polygonal disk whose boundary reads word^power.
-
-    A negative power reads the |power|-th power of the inverse word, i.e.
-    the boundary traversed with reversed orientation.
-    """
-
-    word: CyclicWord
-    power: int
-
-    def __post_init__(self):
-        if self.power == 0:
-            raise ValueError("disk power must be nonzero")
-
-    @property
-    def size(self):
-        return len(self.word) * abs(self.power)
-
-    def boundary_letters(self):
-        base = self.word.letters
-        if self.power < 0:
-            base = inverse_letters(base)
-        return base * abs(self.power)
+def disk_letters(w: CyclicWord, power: int):
+    """The boundary letters of a disk reading w^power: a negative power
+    reads the |power|-th power of the inverse word, the boundary traversed
+    with reversed orientation."""
+    return (w.letters if power > 0 else inverse_letters(w.letters)) * abs(power)
 
 
 class SidePairing:
@@ -117,16 +101,18 @@ def _find(parent, x):
 
 
 class SurfaceComplex:
-    """Quotient CW structure of disks under a (partial) side-pairing."""
+    """Quotient CW structure of disks reading w^k, k in ``powers``, under a
+    (partial) side-pairing."""
 
-    def __init__(self, disks: Sequence[DiskSpec], pairing: SidePairing):
-        self.disks = tuple(disks)
-        self.pairing = pairing
-        sizes = [d.size for d in self.disks]
+    def __init__(self, w: CyclicWord, powers: Sequence[int], pairing: SidePairing):
+        self.word, self.powers, self.pairing = w, tuple(powers), pairing
+        if 0 in self.powers:
+            raise ValueError("disk power must be nonzero")
+        sizes = [len(w) * abs(k) for k in self.powers]
         self.base, letter, disk = [], [], []
-        for i, d in enumerate(self.disks):
+        for i, k in enumerate(self.powers):
             self.base.append(len(letter))
-            letter.extend(d.boundary_letters())
+            letter.extend(disk_letters(w, k))
             disk.extend([i] * sizes[i])
         n = len(letter)
         ids = list(range(n))  # the one int object per slot index that every list shares
@@ -239,7 +225,7 @@ class SurfaceComplex:
 
     @property
     def m(self):
-        return len(self.disks)
+        return len(self.powers)
 
     @property
     def n_edges(self):
@@ -251,13 +237,13 @@ class SurfaceComplex:
     def connected_components(self):
         """Disk indices joined through pairs (so through shared vertices),
         by least disk."""
-        neighbours = [[] for _ in self.disks]
+        neighbours = [[] for _ in self.powers]
         for (i, _j), (k, _l) in self.pairing.pairs:
             neighbours[i].append(k)
             neighbours[k].append(i)
-        seen = [False] * len(self.disks)
+        seen = [False] * self.m
         out = []
-        for start in range(len(self.disks)):
+        for start in range(self.m):
             if seen[start]:
                 continue
             seen[start] = True
@@ -273,7 +259,7 @@ class SurfaceComplex:
     def component_euler_data(self):
         """Per component: (disks, vertex count, edge count, chi)."""
         comps = self.connected_components()
-        of_disk = [0] * len(self.disks)
+        of_disk = [0] * self.m
         for k, comp in enumerate(comps):
             for i in comp:
                 of_disk[i] = k
@@ -305,11 +291,12 @@ class SurfaceComplex:
         return "\n".join(lines)
 
 
-def build_complex(disks, pairing):
-    """Quotient the disks by the pairing; rejects incompatible pairs."""
+def build_complex(w, powers, pairing):
+    """Quotient the disks reading w^k, k in ``powers``, by the pairing;
+    rejects incompatible pairs."""
     if isinstance(pairing, (list, tuple)):
         pairing = SidePairing(pairing)
-    return SurfaceComplex(disks, pairing)
+    return SurfaceComplex(w, powers, pairing)
 
 
 def check_immersion(S: SurfaceComplex):
@@ -345,13 +332,13 @@ def genus_report(S):
     """
     if not S.closed:
         raise ValueError("genus is reported for closed surfaces only")
-    adjacent = [[] for _ in S.disks]
+    adjacent = [[] for _ in S.powers]
     for a, b in S.pairing.pairs:
         # the required product of the two face colors
         want = -1 if (S.slot_letter(a) > 0) == (S.slot_letter(b) > 0) else 1
         adjacent[a[0]].append((b[0], want))
         adjacent[b[0]].append((a[0], want))
-    colors = {0: 1} if S.disks else {}
+    colors = {0: 1} if S.powers else {}
     stack = list(colors)
     orientable = True
     while stack:
@@ -409,20 +396,17 @@ class PolygonalityCertificate:
     tn_certificate: Optional[TnCertificate] = None
     u_certificate: Optional[UCertificate] = None
 
-    def disks(self):
-        return tuple(DiskSpec(self.word, k) for k in self.powers)
-
     def complex(self):
         if self.declarative is not None or self.pairing is None or not self.powers:
             raise ValueError("the certificate carries no surface")
-        return build_complex(self.disks(), self.pairing)
+        return build_complex(self.word, self.powers, self.pairing)
 
     def verify(self):
         """Re-run the certifier on the stored data; True when it reproduces."""
         if self.declarative is not None:
             _, k = primitive_root(self.word)
             return self.polygonal and k > 1
-        again = certify(self.word, self.disks(), self.pairing)
+        again = certify(self.word, self.powers, self.pairing)
         # every verdict entry it states: a loaded one may leave out "components"
         return all(getattr(again, name) == getattr(self, name) for key, name in _VERDICT_KEYS
                    if key != "components" or self.components is not None)
@@ -478,22 +462,19 @@ class PolygonalityCertificate:
         )
 
 
-def certify(w: CyclicWord, disks, pairing) -> PolygonalityCertificate:
-    """The authoritative polygonality check of a concrete disk system.
+def certify(w: CyclicWord, powers, pairing) -> PolygonalityCertificate:
+    """The authoritative polygonality check of a concrete disk system: the
+    disks reading w^k, k in ``powers``, under the pairing.
 
     True iff the pairing is total, the quotient is an immersion over the
     rose, and every connected component has chi strictly below its own
     disk count.  Failures are verdicts, not errors.
     """
-    disks = tuple(disks)
-    for d in disks:
-        if d.word != w:
-            raise ValueError("disk words must all equal the certified word")
+    powers = tuple(powers)
     if isinstance(pairing, (list, tuple)):
         pairing = SidePairing(pairing)
-    powers = tuple(d.power for d in disks)
     try:
-        S = build_complex(disks, pairing)
+        S = build_complex(w, powers, pairing)
     except PairingError as err:
         return PolygonalityCertificate(
             word=w,
@@ -652,10 +633,10 @@ def transform_certificate(cert: PolygonalityCertificate, rel: Relabeling):
         return proper_power_certificate(new_word)
     shifts = []  # per disk: (size, offset of the image in canonical coordinates)
     for power in cert.powers:
-        mapped = tuple(map(rel.apply_letter, DiskSpec(cert.word, power).boundary_letters()))
+        mapped = tuple(map(rel.apply_letter, disk_letters(cert.word, power)))
         if rel.invert_word:
             mapped = inverse_letters(mapped)
-        offset = rotation_offset(mapped, DiskSpec(new_word, power).boundary_letters())
+        offset = rotation_offset(mapped, disk_letters(new_word, power))
         if offset is None:
             raise ValueError("transformed boundary is not a rotation of the target")
         shifts.append((len(mapped), offset))
@@ -666,4 +647,4 @@ def transform_certificate(cert: PolygonalityCertificate, rel: Relabeling):
         return (i, ((size - 1 - j if rel.invert_word else j) - offset) % size)
 
     new_pairs = [(image(a), image(b)) for a, b in cert.pairing.pairs]
-    return certify(new_word, [DiskSpec(new_word, k) for k in cert.powers], new_pairs)
+    return certify(new_word, cert.powers, new_pairs)

@@ -16,7 +16,6 @@ from math import lcm
 from typing import Optional, Tuple
 
 from .complexes import (
-    DiskSpec,
     PolygonalityCertificate,
     SurfaceComplex,
     boundary_lambda,
@@ -59,11 +58,11 @@ class ConstructionError(RuntimeError):
     """A construction failed its own certification; indicates a bug."""
 
 
-def _certify_gluing(gluing, w, disks, pairs, **record):
+def _certify_gluing(gluing, w, powers, pairs, **record):
     """The certificate of a construction's surface, carrying the
     construction's ``record``; raises :class:`ConstructionError` naming
     the gluing when the certifier rejects the surface."""
-    out = certify(w, disks, pairs)
+    out = certify(w, powers, pairs)
     if not out.polygonal:
         raise ConstructionError("%s gluing failed certification: %s" % (gluing, out.detail))
     return replace(out, **record)
@@ -77,7 +76,7 @@ def two_disk_rotation_data(w: CyclicWord):
 
     Slot j of the first disk is glued to slot j+1 of the second exactly
     when the letters agree, which leaves one pair of free slots per
-    syllable junction.  Returns (disks, pairs, junction slot pairs).
+    syllable junction.  Returns (powers, pairs, junction slot pairs).
     """
     syl, starts = syllable_starts(w)
     if len(syl) < 2:
@@ -88,13 +87,12 @@ def two_disk_rotation_data(w: CyclicWord):
     # the last slot of each syllable on the first disk, the next one's first on the second
     junctions = [((0, (starts[i] + abs(e) - 1) % n), (1, starts[(i + 1) % len(starts)]))
                  for i, (_g, e) in enumerate(syl.parts)]
-    disks = (DiskSpec(w, 1), DiskSpec(w, 1))
-    return disks, pairs, tuple(junctions)
+    return (1, 1), pairs, tuple(junctions)
 
 
 def two_disk_rotation(w: CyclicWord) -> SurfaceComplex:
-    disks, pairs, _ = two_disk_rotation_data(w)
-    return build_complex(disks, pairs)
+    powers, pairs, _ = two_disk_rotation_data(w)
+    return build_complex(w, powers, pairs)
 
 
 # --- gluing boundary circles per a cycle certificate --------------------------
@@ -114,7 +112,7 @@ def construct_from_tn(w: CyclicWord, cert: TnCertificate) -> PolygonalityCertifi
     element = rho(w)
     if not verify_tn_certificate(cert, element):
         raise ValueError("certificate does not re-sum to rho(w)")
-    disks, pairs, junctions = two_disk_rotation_data(w)
+    powers, pairs, junctions = two_disk_rotation_data(w)
     signed = junction_pairs(w)
     buckets = {}
     for idx, sp in enumerate(signed):
@@ -135,7 +133,7 @@ def construct_from_tn(w: CyclicWord, cert: TnCertificate) -> PolygonalityCertifi
             # junction and the first-component slot of the current one
             glue.append((p_prev if prev_flip else q_prev, q_cur if cur_flip else p_cur))
     assert all(not b for b in buckets.values())
-    return _certify_gluing("cycle", w, disks, pairs + glue, tn_certificate=cert,
+    return _certify_gluing("cycle", w, powers, pairs + glue, tn_certificate=cert,
                            construction={"strategy": "tn-cycles",
                                          "cycles": [list(c) for c in cert.cycles]})
 
@@ -221,8 +219,8 @@ def construct_isolated_b(w: CyclicWord) -> PolygonalityCertificate:
         raise NotApplicableError("junction sign sum does not vanish")
     if is_proper_power(w):
         return proper_power_certificate(w)
-    disks, pairs, _ = two_disk_rotation_data(w)
-    S = build_complex(disks, pairs)
+    powers, pairs, _ = two_disk_rotation_data(w)
+    S = build_complex(w, powers, pairs)
     circle_of = {s: ci for ci, (slots, _f) in enumerate(S.circles) for s in slots}
     groups = defaultdict(list)  # circles by the kind of the junction at their b
     for kind, pos in _isolated_b_junctions(w):
@@ -236,7 +234,7 @@ def construct_isolated_b(w: CyclicWord) -> PolygonalityCertificate:
             raise ConstructionError("boundary circles %d and %d admit no reversing "
                                     "identification on %s" % (ca, cb, w))
         glue.extend(seam)
-    return _certify_gluing("isolated-b", w, disks, pairs + glue, construction={
+    return _certify_gluing("isolated-b", w, powers, pairs + glue, construction={
         "strategy": "isolated-b", "sources": len(groups["source"]),
         "filters": len(groups["filter"])})
 
@@ -340,12 +338,12 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
         return i + 1 if (i + 1) % qj != 0 else i + 1 - qj
 
     perm = list(range(c))
-    for k0 in sorted(A):
+    for k0 in A:
         perm = [g_of(k0, perm[i]) for i in range(c)]
     d = lcm(*(size for _v, size in permutation_cycles(perm)))
     _check_block_slots(w, c * d * (P + Q))
 
-    disks = [DiskSpec(w, d * P)] * c + [DiskSpec(w, d * Q)] * c
+    powers = [d * P] * c + [d * Q] * c
     # every p-side disk has one layout and every q-side disk another: lay
     # each out once, on disk 0, and re-index it per disk; on a p-side disk
     # the chain's b-edge before factor j is shifted to the disk g_of names
@@ -355,10 +353,10 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
     for i in range(c):
         for j, ((_, b), (_, a)) in enumerate(chain):
             jm = j % (P * l)
-            pairs.append(((i, b), ((g_of(jm, i) if jm in sigma else i) % c, a)))
+            pairs.append(((i, b), (g_of(jm, i) if jm in sigma else i, a)))
     pairs += [((i, a), (i, b)) for i in range(c, 2 * c) for (_, a), (_, b) in meet]
 
-    S = build_complex(disks, pairs)
+    S = build_complex(w, powers, pairs)
     check_term_cap(S.n_circles)  # one term per boundary circle, refused before the walk
     invariant = boundary_lambda(S)
     u_cert = u_membership(invariant)
@@ -369,13 +367,13 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
             raise ConstructionError("doubled boundary invariant not in U for %s" % w)
     # the block's circles, then, when doubled, those of a copy of the block
     # on the disks past it
-    shifts = (0, len(disks)) if doubled else (0,)
+    shifts = (0, len(powers)) if doubled else (0,)
     by_term = {}
     for shift in shifts:
         for _sign, slots, _verts, _flags, term, start in S.lambda_circles:
             by_term.setdefault(term, []).append((slots, start, shift))
     pairs += [((i + s, j), (k + s, m)) for s in shifts[1:] for (i, j), (k, m) in pairs]
-    disks *= len(shifts)
+    powers *= len(shifts)
     glue = []
     for up in u_cert.pairs:
         (a, a0, sa), (b, b0, sb) = by_term[up.a].pop(0), by_term[up.b].pop(0)
@@ -385,10 +383,10 @@ def construct_height_one(w: CyclicWord) -> PolygonalityCertificate:
             (i, j), (k, m) = S.name(s), S.name(t)
             glue.append(((i + sa, j), (k + sb, m)))
     record = {"strategy": "height-one", "c": c, "d": d, "doubled": doubled,
-              "shift_factors": sorted(A), "shift_targets": x}
+              "shift_factors": A, "shift_targets": x}
     if swapped:
         record["swapped"] = True
-    return _certify_gluing("height-one", w, disks, pairs + glue, u_certificate=u_cert,
+    return _certify_gluing("height-one", w, powers, pairs + glue, u_certificate=u_cert,
                            construction=record)
 
 

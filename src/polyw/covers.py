@@ -53,7 +53,7 @@ def graph_of_complex(S: SurfaceComplex) -> LabeledGraph:
     """The labeled 1-skeleton of a surface complex; its generator maps,
     completed, would hold rank x vertices entries, refused past
     ``MAX_WORD_LENGTH``."""
-    rank = S.disks[0].word.rank
+    rank = S.word.rank
     if rank * S.n_vertices > MAX_WORD_LENGTH:
         raise ValueError("the cover of rank %d on %d vertices is past %d entries"
                          % (rank, S.n_vertices, MAX_WORD_LENGTH))

@@ -1,17 +1,19 @@
 """Bounded search for a certified surface by backtracking over
 side-pairings, with forward checking.
 
-The boundary letters of a configuration's disks, which read powers of w,
-are its slots, disk after disk.  Two slots are legal partners when they
-carry the same generator, are not the same disk's letters a multiple of
-|w| apart, and their gluing keeps the quotient immersed.  The same-disk
-cut identifies vertices separated by an interval reading a power of the
-boundary word, which forces the half-rotation component with chi equal
-to its disk count.  Each root of the rollback union-find of vertex
-classes holds two generator bitmasks, the edges entering the class and
-those leaving it; a gluing is immersed iff no class gets two in-edges or
-two out-edges of one generator.  Legality is symmetric in the two slots,
-and it only shrinks as pairs are added.
+A configuration is a tuple of disk powers: disk i reads w^powers[i],
+and the boundary letters of its disks are its slots, disk after disk.
+Its completions go to ``certify`` as (w, powers, pairing).  Two slots
+are legal partners when they carry the same generator, are not the same
+disk's letters a multiple of |w| apart, and their gluing keeps the
+quotient immersed.  The same-disk cut identifies vertices separated by
+an interval reading a power of the boundary word, which forces the
+half-rotation component with chi equal to its disk count.  Each root of
+the rollback union-find of vertex classes holds two generator bitmasks,
+the edges entering the class and those leaving it; a gluing is immersed
+iff no class gets two in-edges or two out-edges of one generator.
+Legality is symmetric in the two slots, and it only shrinks as pairs
+are added.
 
 A free slot of generator g is blocked when its tail lies in a class that
 a g-edge already leaves, or its head in one that a g-edge already
@@ -87,7 +89,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .complexes import DiskSpec, PolygonalityCertificate, certify, proper_power_certificate
+from .complexes import PolygonalityCertificate, certify, disk_letters, proper_power_certificate
 from .words import CyclicWord, is_proper_power
 
 
@@ -166,26 +168,27 @@ _CLOCK_WORK = 1 << 15
 _MAX_SYMMETRY_SLOTS = 10 ** 6
 
 
-def _symmetries(w, disks, tick):
+def _symmetries(w, powers, tick):
     """G as (g, g^-1) slot permutations, less the identity: disks of equal
     power permuted, each base point rotated by multiples of |w|."""
-    bases = list(itertools.accumulate((d.size for d in disks), initial=0))
+    n = len(w)
+    bases = list(itertools.accumulate((k * n for k in powers), initial=0))
     groups = {}
-    for i, d in enumerate(disks):
-        groups.setdefault(d.power, []).append(i)
+    for i, k in enumerate(powers):
+        groups.setdefault(k, []).append(i)
     order = math.prod(map(math.factorial, map(len, groups.values())))
-    if order * math.prod(d.power for d in disks) * bases[-1] > _MAX_SYMMETRY_SLOTS:
+    if order * math.prod(powers) * bases[-1] > _MAX_SYMMETRY_SLOTS:
         return []  # searched without the cut
     moves = itertools.product(itertools.product(*map(itertools.permutations, groups.values())),
-                              itertools.product(*(range(d.power) for d in disks)))
+                              itertools.product(*map(range, powers)))
     next(moves)  # the identity
     out = []
     for perms, rots in moves:
         target = dict(zip(itertools.chain(*groups.values()), itertools.chain(*perms)))
         g = [
-            bases[target[i]] + (p + r * len(w)) % d.size
-            for i, (d, r) in enumerate(zip(disks, rots))
-            for p in range(d.size)
+            bases[target[i]] + (p + r * n) % (k * n)
+            for i, (k, r) in enumerate(zip(powers, rots))
+            for p in range(k * n)
         ]
         out.append((g, sorted(range(len(g)), key=g.__getitem__)))
         tick(len(g))
@@ -234,15 +237,15 @@ class _Backtracker:
     only nodes fall.
     """
 
-    def __init__(self, w, disks, deadline):
-        self.deadline, self.work, self.nodes, self.disks = deadline, 0, 0, disks
+    def __init__(self, w, powers, deadline):
         n, letters, key, nxt = len(w), [], [], []
-        for d in disks:
+        self.deadline, self.work, self.nodes, self.sizes = deadline, 0, 0, [k * n for k in powers]
+        for k, size in zip(powers, self.sizes):
             base = len(letters)
-            letters += d.boundary_letters()
-            key += list(range(base, base + n)) * (d.size // n)  # equal keys: a cut pair
-            nxt += [*range(base + 1, base + d.size), base]
-            self._tick(d.size)
+            letters += disk_letters(w, k)
+            key += list(range(base, base + n)) * k  # equal keys: a cut pair
+            nxt += [*range(base + 1, base + size), base]
+            self._tick(size)
         self.total = total = len(letters)
         self.key = key
         width = total.bit_length()  # a field holds any count of slots
@@ -259,7 +262,7 @@ class _Backtracker:
             self.label_index.append(len(cands))
             cands.append(s)
             self._tick(1)
-        self.group = _symmetries(w, disks, self._tick)
+        self.group = _symmetries(w, powers, self._tick)
         self.partner = [-1] * total
         self.parent = list(range(total))
         self.rank_uf = [0] * total
@@ -488,7 +491,7 @@ class _Backtracker:
                 stack.append([s, self.label_index[s] + 1, None, watch])
             else:
                 self._tick(total)  # what certify will cost
-                name = [(i, j) for i, d in enumerate(self.disks) for j in range(d.size)]
+                name = [(i, j) for i, size in enumerate(self.sizes) for j in range(size)]
                 yield tuple((name[a], name[b]) for a, b in enumerate(partner) if b > a)
             while stack:
                 frame = stack[-1]
@@ -529,11 +532,10 @@ def _certified(w, bounds, progress):
     budget = bounds.time_budget
     deadline = None if budget is None else time.monotonic() + budget
     for powers in _power_configs(w, bounds):
-        disks = [DiskSpec(w, k) for k in powers]
-        bt = _Backtracker(w, disks, deadline)
+        bt = _Backtracker(w, powers, deadline)
         try:
             for pairs in bt._search():
-                cert = certify(w, disks, list(pairs))
+                cert = certify(w, powers, list(pairs))
                 if cert.polygonal:
                     yield cert
         finally:

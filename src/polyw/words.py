@@ -161,11 +161,6 @@ class CyclicWord:
     def __str__(self):
         return letters_to_str(self.letters)
 
-    def rotated(self, r):
-        """The raw letter tuple rotated to start at position r (not canonicalized)."""
-        r %= len(self.letters)
-        return self.letters[r:] + self.letters[:r]
-
     def inverse(self):
         return CyclicWord(self.rank, inverse_letters(self.letters))
 

@@ -198,17 +198,16 @@ def certified_pairings(w, powers):
     first with its partners ascending; a partial matching is dropped only
     when ``_folds`` shows that no completion is an immersion.
     """
-    from polyw.complexes import DiskSpec, certify
+    from polyw.complexes import certify, disk_letters
 
-    disks = [DiskSpec(w, k) for k in powers]
     names, letters, nxt, prv = [], [], [], []
-    for i, d in enumerate(disks):
-        base = len(names)
-        for j, x in enumerate(d.boundary_letters()):
+    for i, k in enumerate(powers):
+        base, disk = len(names), disk_letters(w, k)
+        for j, x in enumerate(disk):
             names.append((i, j))
             letters.append(x)
-            nxt.append(base + (j + 1) % d.size)
-            prv.append(base + (j - 1) % d.size)
+            nxt.append(base + (j + 1) % len(disk))
+            prv.append(base + (j - 1) % len(disk))
     partner = [-1] * len(names)
 
     def matchings():
@@ -227,7 +226,7 @@ def certified_pairings(w, powers):
 
     seen = set()
     for pairs in matchings():
-        cert = certify(w, disks, pairs)
+        cert = certify(w, powers, pairs)
         if cert.polygonal:
             key = pairing_orbit_key(w, powers, pairs)
             if key not in seen:
@@ -638,7 +637,8 @@ def cycle_cover_lp(w):
 
 
 class ReferenceComplex:
-    """The quotient of disks by a side-pairing on ``(disk, slot)`` keys.
+    """The quotient of disks reading w^k, k in ``powers``, by a side-pairing
+    on ``(disk, slot)`` keys.
 
     A slow, literal construction kept as the reference for
     ``complexes.SurfaceComplex``: vertices from a union-find over
@@ -647,15 +647,16 @@ class ReferenceComplex:
     immersion, per-component chi and boundary-invariant reports on top.
     """
 
-    def __init__(self, disks, pairs):
-        self.disks = tuple(disks)
-        self.letters = [d.boundary_letters() for d in self.disks]
-        self.sizes = [d.size for d in self.disks]
+    def __init__(self, w, powers, pairs):
+        from polyw.complexes import disk_letters
+
+        self.letters = [disk_letters(w, k) for k in powers]
+        self.sizes = [len(x) for x in self.letters]
         self.partner = {}
         for a, b in pairs:
             a, b = tuple(a), tuple(b)
             self.partner[a], self.partner[b] = b, a
-        names = [(i, v) for i in range(len(self.disks)) for v in range(self.sizes[i])]
+        names = [(i, v) for i in range(len(self.sizes)) for v in range(self.sizes[i])]
         parent = {x: x for x in names}
 
         def find(x):
@@ -747,7 +748,7 @@ class ReferenceComplex:
         for (i, _v), vid in self.vertex_of.items():
             disks_at.setdefault(vid, set()).add(i)
         comps, seen = [], set()
-        for start in range(len(self.disks)):
+        for start in range(len(self.sizes)):
             if start in seen:
                 continue
             comp, stack = {start}, [start]
@@ -817,12 +818,12 @@ def assert_matches_reference(S):
     from polyw.complexes import LambdaError, boundary_lambda, check_immersion, lambda_components
     from polyw.invariants import LambdaMultiset, LambdaTerm, partial_sums
 
-    ref = ReferenceComplex(S.disks, S.pairing.pairs)
+    ref = ReferenceComplex(S.word, S.powers, S.pairing.pairs)
     assert S.n_vertices == ref.n_vertices
     assert {x: S.vertex_at(x) for x in ref.vertex_of} == ref.vertex_of
     assert [(e.label, e.tail, e.head, e.slots) for e in S.edges] == ref.edges
     assert S.n_edges == len(ref.edges)
-    assert S.euler_characteristic() == ref.n_vertices - len(ref.edges) + len(S.disks)
+    assert S.euler_characteristic() == ref.n_vertices - len(ref.edges) + len(S.powers)
     assert S.boundary == ref.boundary and S.closed == ref.closed
     assert check_immersion(S) == ref.check_immersion()
     assert S.component_euler_data() == ref.component_euler_data()
@@ -864,25 +865,27 @@ class ReferenceBacktracker:
     the same order, as ``polyw.search._Backtracker``, with no deadline;
     ``nodes`` counts its tree."""
 
-    def __init__(self, w, disks):
+    def __init__(self, w, powers):
+        from polyw.complexes import disk_letters
         from polyw.search import _symmetries
 
         self.word_length = len(w)
         self.letters, self.name, self.next_slot, self.disk_end = [], [], [], []
         base = 0
-        for i, d in enumerate(disks):
-            for j, x in enumerate(d.boundary_letters()):
+        for i, k in enumerate(powers):
+            disk = disk_letters(w, k)
+            for j, x in enumerate(disk):
                 self.letters.append(x)
                 self.name.append((i, j))
-                self.next_slot.append(base + (j + 1) % d.size)
-                self.disk_end.append(base + d.size)
-            base += d.size
+                self.next_slot.append(base + (j + 1) % len(disk))
+                self.disk_end.append(base + len(disk))
+            base += len(disk)
         self.total = base
         self.by_label, self.label_index = {}, []
         for s, x in enumerate(self.letters):
             self.label_index.append(len(self.by_label.setdefault(abs(x), [])))
             self.by_label[abs(x)].append(s)
-        self.group = _symmetries(w, disks, lambda work: None)
+        self.group = _symmetries(w, powers, lambda work: None)
         self.partner = [-1] * base
         self.parent = list(range(base))
         self.rank_uf = [0] * base
@@ -1012,15 +1015,14 @@ def reference_certified(w, bounds, counter=None):
     """The certificates ``ReferenceBacktracker`` finds within the bounds,
     configuration by configuration, in the order the search meets them;
     ``counter["nodes"]``, if given, adds up the nodes visited."""
-    from polyw.complexes import DiskSpec, certify
+    from polyw.complexes import certify
     from polyw.search import power_configs
 
     for powers in power_configs(w, bounds):
-        disks = [DiskSpec(w, k) for k in powers]
-        bt = ReferenceBacktracker(w, disks)
+        bt = ReferenceBacktracker(w, powers)
         try:
             for pairs in bt.search():
-                cert = certify(w, disks, list(pairs))
+                cert = certify(w, powers, list(pairs))
                 if cert.polygonal:
                     yield cert
         finally:

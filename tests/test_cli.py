@@ -7,8 +7,8 @@ import pytest
 
 import polyw
 from polyw import cli, words
-from polyw.cli import build_parser, check_polygonal
-from polyw.complexes import PolygonalityCertificate
+from polyw.cli import STRATEGIES, build_parser, check_polygonal
+from polyw.complexes import PolygonalityCertificate, proper_power_certificate
 from polyw.cyclecover import verify_dual
 from polyw.whitehead import all_second_kind_moves
 from polyw.words import cyclic_word
@@ -153,6 +153,20 @@ def test_check_has_no_f2_strategy(capsys):
     # the tn rung certifies the rank-2 words without isolated generators
     assert run_main("check", "a^3 b^2 a^-2 b^-3", "--strategy", "f2") == 3
     assert run_main("check", "a^3 b^2 a^-2 b^-3", "--strategy", "tn") == 0
+    with pytest.raises(ValueError, match="unknown strategy 'f2'"):
+        check_polygonal(cyclic_word("a^3 b^2 a^-2 b^-3"), "f2")
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("text", ["(a^2 b^2)^2", "(a (a)^b)^2"])
+def test_every_strategy_answers_a_proper_power_declaratively(capsys, text, strategy):
+    # the proper-power rung runs first whatever the strategy, so the T_n and
+    # isolated-b rungs, which would refuse these words, are never reached
+    w = cyclic_word(text)
+    assert run_main("check", text, "--strategy", strategy) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "word": str(w), "status": "polygonal",
+        "result": proper_power_certificate(w).to_json_dict()}
 
 
 @pytest.mark.parametrize("bound", [("--max-edges", "3"), ("--max-disks", "0"), ("--powers", "0")])

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from polyw.complexes import (
-    DiskSpec,
     LambdaError,
     PairingError,
     PolygonalityCertificate,
@@ -13,6 +12,7 @@ from polyw.complexes import (
     build_complex,
     certify,
     check_immersion,
+    disk_letters,
     genus_report,
     lambda_components,
     proper_power_certificate,
@@ -40,7 +40,7 @@ PARTIAL = [((0, 9), (0, 2)), ((0, 4), (0, 7))]
 
 def torus_cert():
     t = cyclic_word("a b a^-1 b^-1")
-    return certify(t, [DiskSpec(t, 1)], [((0, 0), (0, 2)), ((0, 1), (0, 3))])
+    return certify(t, [1], [((0, 0), (0, 2)), ((0, 1), (0, 3))])
 
 
 def fig_cert():
@@ -50,18 +50,15 @@ def fig_cert():
 
 
 def test_disk_boundary_letters():
-    d = DiskSpec(W, 2)
-    assert d.boundary_letters() == W.letters * 2
-    d_neg = DiskSpec(W, -1)
-    assert d_neg.boundary_letters() == W.inverse().rotated(0) or set(
-        d_neg.boundary_letters()
-    ) == set(W.inverse().letters)
-    with pytest.raises(ValueError):
-        DiskSpec(W, 0)
+    assert disk_letters(W, 2) == W.letters * 2
+    assert disk_letters(W, -2) == tuple(-x for x in reversed(W.letters)) * 2
+    for build in (build_complex, certify):
+        with pytest.raises(ValueError, match="disk power must be nonzero"):
+            build(W, [1, 0], [])
 
 
 def test_three_punctured_sphere():
-    S = build_complex([DiskSpec(W, 2)], PARTIAL)
+    S = build_complex(W, [2], PARTIAL)
     assert not S.closed
     assert len(S.boundary) == 3
     assert S.euler_characteristic() == -1  # sphere minus three disks
@@ -70,20 +67,20 @@ def test_three_punctured_sphere():
 
 def test_two_identical_disks_identity_matching_is_sphere():
     pairs = [((0, j), (1, j)) for j in range(5)]
-    cert = certify(W, [DiskSpec(W, 1), DiskSpec(W, 1)], pairs)
+    cert = certify(W, [1, 1], pairs)
     assert cert.closed and cert.chi == 2 and cert.m == 2
     assert not cert.polygonal
 
 
 def test_empty_pairing_is_disk():
-    S = build_complex([DiskSpec(W, 1)], [])
+    S = build_complex(W, [1], [])
     assert S.euler_characteristic() == 1
     assert len(S.boundary) == 1 and not S.closed
 
 
 def test_pairing_label_mismatch_rejected():
     with pytest.raises(PairingError):
-        build_complex([DiskSpec(W, 1)], [((0, 0), (0, 2))])  # a against b
+        build_complex(W, [1], [((0, 0), (0, 2))])  # a against b
 
 
 def test_pairing_involution_validation():
@@ -97,7 +94,7 @@ def test_immersion_violation_reported():
     # two a^2-disks sharing one edge: the shared head grows two outgoing a-edges
     u = cyclic_word("a^2", 1)
     pairs = [((0, 0), (1, 0))]
-    S = build_complex([DiskSpec(u, 1), DiskSpec(u, 1)], pairs)
+    S = build_complex(u, [1, 1], pairs)
     ok, violations = check_immersion(S)
     assert not ok
     assert any(kind == "out" and count == 2 for _v, _g, kind, count in violations)
@@ -112,22 +109,22 @@ def test_torus_square():
 
 def test_projective_plane():
     a = cyclic_word("a", 1)
-    S = build_complex([DiskSpec(a, 2)], [((0, 0), (0, 1))])
+    S = build_complex(a, [2], [((0, 0), (0, 1))])
     assert S.euler_characteristic() == 1
     assert genus_report(S) == (False, 1)
-    cert = certify(a, [DiskSpec(a, 2)], [((0, 0), (0, 1))])
+    cert = certify(a, [2], [((0, 0), (0, 1))])
     assert not cert.polygonal
 
 
 def test_pi_rotation_disk_fails():
     pairs = [((0, j), (0, j + 5)) for j in range(5)]
-    cert = certify(W, [DiskSpec(W, 2)], pairs)
+    cert = certify(W, [2], pairs)
     assert cert.closed and cert.immersion_ok
     assert cert.chi == 1 and cert.m == 1 and not cert.polygonal
 
 
 def test_certifier_failures_are_verdicts():
-    cert = certify(W, [DiskSpec(W, 1)], [((0, 0), (0, 2))])
+    cert = certify(W, [1], [((0, 0), (0, 2))])
     assert not cert.polygonal and "incompatible" in cert.detail
     # an empty disk system is no surface, though each of its (no) components passes
     cert = certify(W, [], [])
@@ -164,14 +161,14 @@ def test_proper_power_certificate():
 def test_boundary_lambda_values():
     from polyw.invariants import LambdaMultiset
 
-    S = build_complex([DiskSpec(W, 2)], PARTIAL)
+    S = build_complex(W, [2], PARTIAL)
     assert boundary_lambda(S) == LambdaMultiset((lam("-", 1, 1), lam("+", 2), lam("+", 2)))
     shape = is_simple_height_one(W)
-    P1 = build_complex([DiskSpec(W, 2)], height_one_p_disk_pairing(shape, 2, 0))
+    P1 = build_complex(W, [2], height_one_p_disk_pairing(shape, 2, 0))
     assert boundary_lambda(P1) == LambdaMultiset(
         (lam("-", 1), lam("-", 1), lam("+", 2, 2))
     )
-    Q1 = build_complex([DiskSpec(W, 4)], height_one_q_disk_pairing(shape, 4, 0))
+    Q1 = build_complex(W, [4], height_one_q_disk_pairing(shape, 4, 0))
     assert boundary_lambda(Q1) == LambdaMultiset(
         (lam("-", 1, 1, 1, 1), lam("+", 2), lam("+", 2), lam("+", 2), lam("+", 2))
     )
@@ -179,19 +176,19 @@ def test_boundary_lambda_values():
 
 def test_boundary_lambda_preconditions():
     with pytest.raises(LambdaError):
-        boundary_lambda(build_complex([DiskSpec(W, 1)], []))  # unpaired b-slots
+        boundary_lambda(build_complex(W, [1], []))  # unpaired b-slots
     t = cyclic_word("a b a^-1 b^-1")
     with pytest.raises(LambdaError):
         boundary_lambda(torus_cert().complex())  # closed
 
 
 def test_edge_count_invariants():
-    S = build_complex([DiskSpec(W, 2)], PARTIAL)
+    S = build_complex(W, [2], PARTIAL)
     boundary_slots = sum(len(c) for c in S.boundary)
-    assert 2 * len(S.pairing.pairs) + boundary_slots == DiskSpec(W, 2).size
+    assert 2 * len(S.pairing.pairs) + boundary_slots == 2 * len(W)
     cert = fig_cert()
     S2 = cert.complex()
-    assert 2 * S2.n_edges == sum(d.size for d in S2.disks)
+    assert 2 * S2.n_edges == sum(abs(k) for k in S2.powers) * len(S2.word)
 
 
 def test_power_separated_vertices_never_identified():
@@ -202,11 +199,12 @@ def test_power_separated_vertices_never_identified():
             continue
         S = cert.complex()
         n = len(cert.word)
-        for i, d in enumerate(S.disks):
-            for j in range(d.size):
-                for h in range(n, d.size, n):
+        for i, k in enumerate(S.powers):
+            size = abs(k) * n
+            for j in range(size):
+                for h in range(n, size, n):
                     assert (
-                        S.vertex_at((i, j)) != S.vertex_at((i, (j + h) % d.size))
+                        S.vertex_at((i, j)) != S.vertex_at((i, (j + h) % size))
                     ), (i, j, h)
 
 
@@ -226,7 +224,7 @@ def test_transform_certificate_preserves_verdicts():
         torus_cert(),
         fig_cert(),
         construct_f2_no_isolated(cyclic_word("a^3 b^2 a^-2 b^-3")),
-        certify(W, [DiskSpec(W, 2)], [((0, j), (0, j + 5)) for j in range(5)]),
+        certify(W, [2], [((0, j), (0, j + 5)) for j in range(5)]),
     ]
     for cert in certs:
         for rel in TRANSFORMS:
@@ -241,7 +239,7 @@ def test_transform_certificate_preserves_verdicts():
 
 
 def test_genus_report_requires_closed_connected():
-    S = build_complex([DiskSpec(W, 2)], PARTIAL)
+    S = build_complex(W, [2], PARTIAL)
     with pytest.raises(ValueError):
         genus_report(S)
 
@@ -250,8 +248,8 @@ def test_genus_walk_matches_the_reference_walk():
     # the torus, the projective plane, the complex with no disks, and every
     # surface the search lists at 2 disks and power 2 for short rank-2 words
     a = cyclic_word("a", 1)
-    surfaces = [torus_cert().complex(), build_complex([DiskSpec(a, 2)], [((0, 0), (0, 1))]),
-                build_complex([], [])]
+    surfaces = [torus_cert().complex(), build_complex(a, [2], [((0, 0), (0, 1))]),
+                build_complex(a, [], [])]
     for length in range(2, 6):
         for w in rank2_cyclic_words(length):
             if not is_proper_power(w):
@@ -267,7 +265,7 @@ def test_genus_walk_matches_the_reference_walk():
         else:
             assert genus_report(S) == want, S.pairing.pairs
             seen.add(want[0])
-    assert genus_report(build_complex([], [])) == (True, 1)
+    assert genus_report(build_complex(a, [], [])) == (True, 1)
     assert seen == {True, False, "disconnected"}
 
 
@@ -277,12 +275,13 @@ def test_dot_export():
     assert dot.startswith("digraph") and '"a1"' in dot and '"a2"' in dot
 
 
-def random_pairing(rng, disks, labels, keep):
-    """Slots of the given labels matched at random within each label; each
-    pair is kept with probability ``keep``."""
+def random_pairing(rng, w, powers, labels, keep):
+    """Slots of the given labels on disks reading w^k, k in ``powers``,
+    matched at random within each label; each pair is kept with
+    probability ``keep``."""
     by_label = {}
-    for i, d in enumerate(disks):
-        for j, x in enumerate(d.boundary_letters()):
+    for i, k in enumerate(powers):
+        for j, x in enumerate(disk_letters(w, k)):
             if abs(x) in labels:
                 by_label.setdefault(abs(x), []).append((i, j))
     pairs = []
@@ -312,12 +311,12 @@ def test_complex_matches_reference_on_random_pairings():
     for _ in range(400):
         rank = rng.choice((2, 3))
         w = CyclicWord(rank, random_letters(rng, rank, rng.randint(1, 6)))
-        disks = [DiskSpec(w, rng.choice((1, 2, 3, -1, -2))) for _ in range(rng.randint(1, 3))]
-        pairs = random_pairing(rng, disks, range(1, rank + 1), rng.choice((1.0, 0.6)))
-        S = build_complex(disks, pairs)
+        powers = [rng.choice((1, 2, 3, -1, -2)) for _ in range(rng.randint(1, 3))]
+        pairs = random_pairing(rng, w, powers, range(1, rank + 1), rng.choice((1.0, 0.6)))
+        S = build_complex(w, powers, pairs)
         assert_matches_reference(S)
         seen.add((S.closed, check_immersion(S)[0], len(S.connected_components()) > 1,
-                  any(d.power < 0 for d in disks)))
+                  any(k < 0 for k in powers)))
     # closed or not, immersed or not, split or not, with or without negative powers
     assert all({key[k] for key in seen} == {False, True} for k in range(4))
 
@@ -331,8 +330,8 @@ def test_boundary_invariant_matches_reference_on_random_b_pairings():
         parts = [(rng.choice((1, 2, 3)), rng.choice((1, 2))) for _ in range(rng.randint(1, 2))]
         sign = rng.choice((1, -1))
         w = cyclic_word(" ".join("a^%d (a^%d)^b" % (sign * p, q) for p, q in parts))
-        disks = [DiskSpec(w, rng.choice((1, 2, -1, 2, 4))) for _ in range(rng.randint(1, 3))]
-        S = build_complex(disks, random_pairing(rng, disks, (2,), 1.0))
+        powers = [rng.choice((1, 2, -1, 2, 4)) for _ in range(rng.randint(1, 3))]
+        S = build_complex(w, powers, random_pairing(rng, w, powers, (2,), 1.0))
         valid += not isinstance(assert_matches_reference(S), str)
     assert valid >= 20
 
@@ -349,7 +348,7 @@ def test_certificate_loader_bounds_the_slot_count():
 
 def test_tn_and_u_certificates_roundtrip_through_json():
     tn_word = cyclic_word("a^6 b^-3 c^5 b^4 c^-7")
-    rejected = certify(W, [DiskSpec(W, 1)], [((0, 0), (0, 2))])
+    rejected = certify(W, [1], [((0, 0), (0, 2))])
     for cert, optional in (
         (construct_from_tn(tn_word, tn_membership(rho(tn_word))),
          ["construction", "tn_certificate"]),

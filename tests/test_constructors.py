@@ -16,7 +16,7 @@ from oracles import (
 )
 from polyw import complexes, constructors
 from polyw.cli import check_polygonal
-from polyw.complexes import DiskSpec, boundary_lambda, build_complex, certify
+from polyw.complexes import boundary_lambda, build_complex, certify, proper_power_certificate
 from polyw.constructors import (
     ConstructionError,
     NotApplicableError,
@@ -82,8 +82,8 @@ def test_junction_circles_carry_their_invariant():
     # each 2-cycle boundary holds one edge per adjacent syllable, with the
     # in/out pattern encoding the junction's signed pair
     w = cyclic_word("a^3 b^2 a^-2 b^-3")
-    disks, pairs, junctions = two_disk_rotation_data(w)
-    S = build_complex(disks, pairs)
+    powers, pairs, junctions = two_disk_rotation_data(w)
+    S = build_complex(w, powers, pairs)
     signed = junction_pairs(w)
     comp_of_slot = {}
     for ci, comp in enumerate(S.boundary):
@@ -119,6 +119,10 @@ def test_construct_from_tn_rejects_isolated():
     if cert is not None:
         with pytest.raises(NotApplicableError):
             construct_from_tn(w, cert)
+    # a proper power is refused too, though its junction invariant is in T_2
+    w = cyclic_word("(a^2 b^2)^2")
+    with pytest.raises(NotApplicableError, match="proper powers"):
+        construct_from_tn(w, tn_membership(rho(w)))
 
 
 def test_f2_examples():
@@ -133,6 +137,9 @@ def test_f2_examples():
 def test_f2_proper_power_goes_declarative():
     out = construct_f2_no_isolated(cyclic_word("a^2 b^2 a^2 b^2"))
     assert out.polygonal and out.declarative is not None
+    # so does the height-one construction, on a simple height-one proper power
+    w = cyclic_word("(a (a)^b)^2")
+    assert construct_height_one(w) == proper_power_certificate(w)
 
 
 def test_sourcesink_examples():
@@ -154,12 +161,12 @@ def test_sourcesink_equalities_exhaustive():
 def test_reversing_gluing_seams_only_opposite_circles_of_one_length():
     # with no pairs, each disk's boundary is one circle walked along the disk
     w = cyclic_word("ab")
-    unequal = build_complex([DiskSpec(w, 1), DiskSpec(w, 2)], [])
+    unequal = build_complex(w, [1, 2], [])
     assert [len(slots) for slots, _f in unequal.circles] == [2, 4]
     assert _reversing_gluing(unequal, 0, 1) is None
     # every arrow runs along its walk on both circles: no offset reverses them
-    assert _reversing_gluing(build_complex([DiskSpec(w, 1)] * 2, []), 0, 1) is None
-    inverse = build_complex([DiskSpec(w, 1), DiskSpec(w, -1)], [])
+    assert _reversing_gluing(build_complex(w, [1, 1], []), 0, 1) is None
+    inverse = build_complex(w, [1, -1], [])
     assert _reversing_gluing(inverse, 0, 1) == [((0, 0), (1, 1)), ((0, 1), (1, 0))]
 
 
@@ -218,7 +225,7 @@ def test_height_one_small_example_lambda_trace():
         for j in range(2):
             target = (i + 1) % 2  # every factor is in the shift set here
             modified.append(((i, betas[(j - 1) % 2]), (target, alphas[j])))
-    S = build_complex([DiskSpec(w, 2), DiskSpec(w, 2)], modified)
+    S = build_complex(w, [2, 2], modified)
     assert boundary_lambda(S) == LambdaMultiset(
         (lam("-", 1, 1), lam("-", 1, 1), lam("+", 2, 2), lam("+", 2, 2))
     )

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from polyw.complexes import DiskSpec, certify, proper_power_certificate
+from polyw.complexes import certify, proper_power_certificate
 from polyw.covers import (
     CoverGraph,
     Elevation,
@@ -114,15 +114,14 @@ def test_double_surface_report_values():
 
 def test_double_surface_report_torus_style():
     t = cyclic_word("a b a^-1 b^-1")
-    cert = certify(t, [DiskSpec(t, 1)], [((0, 0), (0, 2)), ((0, 1), (0, 3))])
+    cert = certify(t, [1], [((0, 0), (0, 2)), ((0, 1), (0, 3))])
     report = double_surface_report(cert)
     assert report.chi_s0 == 2 * (0 - 1)
 
 
 def test_double_surface_report_rejects_bad_inputs():
     w = cyclic_word("a (a^2)^b")
-    failed = certify(w, [DiskSpec(w, 1), DiskSpec(w, 1)],
-                     [((0, j), (1, j)) for j in range(5)])
+    failed = certify(w, [1, 1], [((0, j), (1, j)) for j in range(5)])
     with pytest.raises(ValueError):
         double_surface_report(failed)  # chi = m, verdict false
     with pytest.raises(ValueError):

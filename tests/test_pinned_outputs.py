@@ -18,7 +18,7 @@ import hashlib
 import pytest
 
 from polyw import cli
-from polyw.complexes import DiskSpec, certify, proper_power_certificate
+from polyw.complexes import certify, proper_power_certificate
 from polyw.search import SearchBounds, enumerate_all
 from polyw.words import cyclic_word
 
@@ -94,7 +94,7 @@ def test_check_output_is_pinned(capsys, word, code, digest):
 def surface_certificate(name):
     if name == "torus":
         t = cyclic_word("a b a^-1 b^-1")
-        return certify(t, [DiskSpec(t, 1)], [((0, 0), (0, 2)), ((0, 1), (0, 3))])
+        return certify(t, [1], [((0, 0), (0, 2)), ((0, 1), (0, 3))])
     fig = cyclic_word("a^2 (a^-1)^b a a^b")
     return next(iter(enumerate_all(fig, SearchBounds(max_disks=1, max_power=2))))
 

@@ -18,7 +18,6 @@ from oracles import (
     reference_certified,
 )
 from polyw import search
-from polyw.complexes import DiskSpec
 from polyw.constructors import nonpolygonality_follower_obstruction
 from polyw.cyclecover import lp_dual
 from polyw.search import (
@@ -216,7 +215,7 @@ def test_long_word_propagations_check_only_the_watches_a_gluing_changed():
 
     w = _long_word()
     with pytest.raises(Enough):
-        for _ in Counted(w, [DiskSpec(w, 1)], None)._search():
+        for _ in Counted(w, [1], None)._search():
             pass
     assert Counted.calls < 250_000
 
@@ -292,10 +291,9 @@ def test_pair_legality_is_symmetric_and_matches_the_reference(text, powers):
     # reference can glue it and no free slot is blocked after, and a pair
     # once unusable stays so; then the walk glues legal pairs to its end
     w = cyclic_word(text)
-    disks = [DiskSpec(w, k) for k in powers]
     rng = random.Random(len(w))
     for _walk in range(5):
-        bt, ref = search._Backtracker(w, disks, None), ReferenceBacktracker(w, disks)
+        bt, ref = search._Backtracker(w, powers, None), ReferenceBacktracker(w, powers)
         unusable, gluing_usable = set(), True
         while True:
             legal, usable = [], []

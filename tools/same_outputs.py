@@ -6,10 +6,10 @@ digits of the sha256 of (argv, exit code, stdout, stderr), then the argv.
 The argvs are pass 0 of the benchmark's four workloads at each of
 ``--seeds`` (read from ``bench/corpus.py``), then a fixed list: every
 command's ``--help`` at ``COLUMNS=80``, the resource caps, ``check
---strategy search`` on six words, the usage errors, and ``cover`` and
-``render`` of certificates written to a temporary directory, some of
-them malformed.  The directory's path reads ``<tmp>`` in what is hashed
-and printed.  Run it in two checkouts and compare:
+--strategy search`` on six words, each strategy on two proper powers,
+the usage errors, and ``cover`` and ``render`` of certificates written
+to a temporary directory, some of them malformed.  The directory's path
+reads ``<tmp>`` in what is hashed and printed.  Run it in two checkouts and compare:
 
     python3 tools/same_outputs.py --seeds 1 2 > before.txt
     python3 tools/same_outputs.py --seeds 1 2 > after.txt   # the other checkout
@@ -67,6 +67,9 @@ FIXED = [
     *(("check", word, "--strategy", "search")
       for word in ("abaBaBaBBBBB", "abbaBBBaBaBB", "aaababaB", "aabbABAb",
                    "AACbABBcBB", "acbcbcaC")),
+    # proper powers under each strategy
+    *(("check", word, "--strategy", strategy) for word in ("(a^2 b^2)^2", "(a (a)^b)^2")
+      for strategy in ("tn", "isolated-b", "height-one", "search")),
     # usage errors: argparse's, then each of the program's
     (), ("frobnicate",), ("check",), ("check", "ab", "--strategy", "nope"),
     ("check", "ab", "--rank", "x"), ("stats", "--length", "10"),
