@@ -1,13 +1,13 @@
 """Polygonal disks, side-pairings, quotient surfaces, and the certifier.
 
-A disk system is one cyclic word w and its nonzero powers: disk i reads
-w^powers[i] round its boundary (:func:`disk_letters`), and the complex,
-the certifier and the certificate all hold it as (w, powers).  A
-side-pairing identifies boundary 1-cells in pairs, matching the labeled
-arrows head to head and tail to tail.  The quotient is a closed surface
-when the pairing is total.  A word is certified polygonal by a closed
-quotient that stays an immersion over the rose (per vertex and
-generator, at most one incoming and one outgoing edge) and has Euler
+A disk system is one cyclic word w and its positive powers: disk i reads
+w^powers[i] round its boundary, the letters ``w.letters * powers[i]``,
+and the complex, the certifier and the certificate all hold it as (w,
+powers).  A side-pairing identifies boundary 1-cells in pairs, matching
+the labeled arrows head to head and tail to tail.  The quotient is a
+closed surface when the pairing is total.  A word is certified polygonal
+by a closed quotient that stays an immersion over the rose (per vertex
+and generator, at most one incoming and one outgoing edge) and has Euler
 characteristic below the disk count on every connected component.
 ``certify`` is the only authority on that verdict; constructors and the
 search only propose.
@@ -43,8 +43,8 @@ from .words import (
     inverse_letters,
     least_rotation,
     primitive_root,
-    rotation_offset,
     transform,
+    word_key,
 )
 
 Slot = Tuple[int, int]
@@ -56,13 +56,6 @@ class PairingError(ValueError):
 
 class LambdaError(ValueError):
     """The complex does not arise from a consistent b-side-pairing."""
-
-
-def disk_letters(w: CyclicWord, power: int):
-    """The boundary letters of a disk reading w^power: a negative power
-    reads the |power|-th power of the inverse word, the boundary traversed
-    with reversed orientation."""
-    return (w.letters if power > 0 else inverse_letters(w.letters)) * abs(power)
 
 
 class SidePairing:
@@ -106,13 +99,13 @@ class SurfaceComplex:
 
     def __init__(self, w: CyclicWord, powers: Sequence[int], pairing: SidePairing):
         self.word, self.powers, self.pairing = w, tuple(powers), pairing
-        if 0 in self.powers:
-            raise ValueError("disk power must be nonzero")
-        sizes = [len(w) * abs(k) for k in self.powers]
+        if any(k < 1 for k in self.powers):
+            raise ValueError("disk power must be positive")
+        sizes = [len(w) * k for k in self.powers]
         self.base, letter, disk = [], [], []
         for i, k in enumerate(self.powers):
             self.base.append(len(letter))
-            letter.extend(disk_letters(w, k))
+            letter.extend(w.letters * k)
             disk.extend([i] * sizes[i])
         n = len(letter)
         ids = list(range(n))  # the one int object per slot index that every list shares
@@ -442,7 +435,7 @@ class PolygonalityCertificate:
         numbers = powers + tuple(x for pair in pairs for slot in pair for x in slot)
         if any(type(x) is not int for x in numbers):
             raise ValueError("disk powers and slot indices must be integers")
-        if len(word) * sum(map(abs, powers)) > MAX_WORD_LENGTH:
+        if len(word) * sum(powers) > MAX_WORD_LENGTH:
             raise ValueError("the disks hold more than %d slots" % MAX_WORD_LENGTH)
         pairing = SidePairing(pairs) if data.get("pairing") is not None else None
         verdict = data["verdict"]
@@ -626,20 +619,21 @@ def transform_certificate(cert: PolygonalityCertificate, rel: Relabeling):
 
     The disks' boundary sequences are mapped letterwise (reversed for a
     word inversion) and the slot indices follow the rotation that brings
-    the image back to canonical coordinates.
+    the image back to canonical coordinates.  The image of a disk reading
+    w^k is a rotation of w'^k, w' the transformed word in its canonical
+    rotation, which is the least one; so the offset is the least start of
+    the image's least rotation, ``least_rotation(word_key(mapped))`` by
+    Booth's O(n) algorithm.
     """
     new_word = transform(cert.word, rel)
     if cert.declarative is not None:
         return proper_power_certificate(new_word)
     shifts = []  # per disk: (size, offset of the image in canonical coordinates)
     for power in cert.powers:
-        mapped = tuple(map(rel.apply_letter, disk_letters(cert.word, power)))
+        mapped = tuple(map(rel.apply_letter, cert.word.letters * power))
         if rel.invert_word:
             mapped = inverse_letters(mapped)
-        offset = rotation_offset(mapped, disk_letters(new_word, power))
-        if offset is None:
-            raise ValueError("transformed boundary is not a rotation of the target")
-        shifts.append((len(mapped), offset))
+        shifts.append((len(mapped), least_rotation(word_key(mapped))))
 
     def image(slot):
         i, j = slot

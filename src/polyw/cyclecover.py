@@ -3,11 +3,10 @@ count and power.
 
 Corner j of a disk reading w^k joins the dart of the edge arriving along
 x_{j-1} to the dart of the edge leaving along x_j: up to the sign of
-every dart, the edge {x_{j-1}, -x_j} of the Whitehead graph of w.
-w^-k has the same corners.  The positions j on one dart pair e merge into
-a capacity m_e, the edge's count in ``whitehead.whitehead_edges(w)``.  A
-vertex link of the surface is a cycle of corners, and immersion makes its
-darts distinct.
+every dart, the edge {x_{j-1}, -x_j} of the Whitehead graph of w.  The
+positions j on one dart pair e merge into a capacity m_e, the edge's
+count in ``whitehead.whitehead_edges(w)``.  A vertex link of the surface
+is a cycle of corners, and immersion makes its darts distinct.
 
 Mirror lemma.  If a link repeats a corner position j, at disks D and D',
 its vertex has only the two darts of j, so slot (D, j) is glued to

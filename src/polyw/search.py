@@ -89,7 +89,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .complexes import PolygonalityCertificate, certify, disk_letters, proper_power_certificate
+from .complexes import PolygonalityCertificate, certify, proper_power_certificate
 from .words import CyclicWord, is_proper_power
 
 
@@ -242,7 +242,7 @@ class _Backtracker:
         self.deadline, self.work, self.nodes, self.sizes = deadline, 0, 0, [k * n for k in powers]
         for k, size in zip(powers, self.sizes):
             base = len(letters)
-            letters += disk_letters(w, k)
+            letters += w.letters * k
             key += list(range(base, base + n)) * k  # equal keys: a cut pair
             nxt += [*range(base + 1, base + size), base]
             self._tick(size)

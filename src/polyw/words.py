@@ -444,14 +444,3 @@ def transform(w, relabeling):
     'AAb'
     """
     return CyclicWord(w.rank, relabeling.apply_letters(w.letters))
-
-
-def rotation_offset(layout, canonical):
-    """Least o with canonical[u] == layout[(u+o) % n] for all u, or None."""
-    n = len(layout)
-    if n != len(canonical):
-        return None
-    for o in range(n):
-        if all(canonical[u] == layout[(u + o) % n] for u in range(n)):
-            return o
-    return None

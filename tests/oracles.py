@@ -139,6 +139,18 @@ def least_rotation(letters, key):
     return tuple(letters[best:]) + tuple(letters[:best])
 
 
+def rotation_offset(layout, canonical):
+    """Least o with canonical[u] == layout[(u+o) % n] for all u, or None,
+    by trying every o."""
+    n = len(layout)
+    if n != len(canonical):
+        return None
+    for o in range(n):
+        if all(canonical[u] == layout[(u + o) % n] for u in range(n)):
+            return o
+    return None
+
+
 def pairing_orbit_key(w, powers, pairs):
     """A key equal for two pairings of the same disks iff one is the other
     after reordering equal-power disks and rotating disk base points by
@@ -198,11 +210,11 @@ def certified_pairings(w, powers):
     first with its partners ascending; a partial matching is dropped only
     when ``_folds`` shows that no completion is an immersion.
     """
-    from polyw.complexes import certify, disk_letters
+    from polyw.complexes import certify
 
     names, letters, nxt, prv = [], [], [], []
     for i, k in enumerate(powers):
-        base, disk = len(names), disk_letters(w, k)
+        base, disk = len(names), w.letters * k
         for j, x in enumerate(disk):
             names.append((i, j))
             letters.append(x)
@@ -644,13 +656,14 @@ class ReferenceComplex:
     ``complexes.SurfaceComplex``: vertices from a union-find over
     ``(disk, vertex)`` pairs (vertex j of a disk starts slot j), edges in
     slot order, boundary circles walked corner by corner, and the
-    immersion, per-component chi and boundary-invariant reports on top.
+    immersion, per-component chi, verdict and boundary-invariant reports
+    on top.  Unlike the library it reads a negative power too: a disk
+    reading w^-k reads the inverse word k times.
     """
 
     def __init__(self, w, powers, pairs):
-        from polyw.complexes import disk_letters
-
-        self.letters = [disk_letters(w, k) for k in powers]
+        inverse = tuple(-x for x in reversed(w.letters))
+        self.letters = [w.letters * k if k > 0 else inverse * -k for k in powers]
         self.sizes = [len(x) for x in self.letters]
         self.partner = {}
         for a, b in pairs:
@@ -767,6 +780,17 @@ class ReferenceComplex:
             out.append((comp, len(verts), n_edges, len(verts) - n_edges + len(comp)))
         return out
 
+    def verdict(self):
+        """(polygonal, chi, m, vertices, closed, immersion, components), the
+        verdict entries ``certify`` reports: closed, immersed, and chi below
+        the disk count on every component."""
+        immersion_ok = self.check_immersion()[0]
+        comps = self.component_euler_data()
+        chi_ok = bool(comps) and all(chi < len(comp) for comp, _v, _e, chi in comps)
+        m = len(self.sizes)
+        return (self.closed and immersion_ok and chi_ok, self.n_vertices - len(self.edges) + m,
+                m, self.n_vertices, self.closed, immersion_ok, len(comps))
+
     def lambda_components(self, a_gen=1, b_gen=2):
         """(sign, slots, vertices, flags) per boundary circle, in a-arrow
         order; raises ``LambdaError`` where the b-side-pairing is not
@@ -866,14 +890,13 @@ class ReferenceBacktracker:
     ``nodes`` counts its tree."""
 
     def __init__(self, w, powers):
-        from polyw.complexes import disk_letters
         from polyw.search import _symmetries
 
         self.word_length = len(w)
         self.letters, self.name, self.next_slot, self.disk_end = [], [], [], []
         base = 0
         for i, k in enumerate(powers):
-            disk = disk_letters(w, k)
+            disk = w.letters * k
             for j, x in enumerate(disk):
                 self.letters.append(x)
                 self.name.append((i, j))

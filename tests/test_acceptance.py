@@ -18,7 +18,6 @@ from polyw.complexes import (
     boundary_lambda,
     build_complex,
     certify,
-    disk_letters,
     transform_certificate,
 )
 from polyw.constructors import (
@@ -226,7 +225,7 @@ def test_criterion_09_bs_relators():
 
 def _independent_chi_and_vertices(cert):
     """Recount V, E, F from the raw pairing with a fresh union-find."""
-    letters = [disk_letters(cert.word, k) for k in cert.powers]
+    letters = [cert.word.letters * k for k in cert.powers]
     sizes = [len(x) for x in letters]
     base = [0]
     for s in sizes:

@@ -324,7 +324,7 @@ MALFORMED = {
     "power 0": (
         {"word": "abAB", "rank": 2, "disks": [{"power": 0}],
          "pairing": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]},
-        "error: disk power must be nonzero"),
+        "error: disk power must be positive"),
     "fractional slot": (
         {"word": "abAB", "rank": 2, "disks": [{"power": 1}], "pairing": [[[0, 1.5], [0, 3]]]},
         "cannot load certificate: disk powers and slot indices must be integers"),
@@ -333,6 +333,12 @@ MALFORMED = {
         {"word": "a^2", "rank": 1, "disks": [{"power": 1}, {"power": 1}],
          "pairing": [[[0, 0], [1, 0]]]},
         "error: generator 1 map is not a partial injection"),
+    # a disk reads a positive power of w; the torus walked the other way
+    # is the torus at power 1
+    "torus at power -1": (
+        {"word": "abAB", "rank": 2, "disks": [{"power": -1}],
+         "pairing": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]},
+        "error: disk power must be positive"),
 }
 
 

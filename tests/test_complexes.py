@@ -12,7 +12,6 @@ from polyw.complexes import (
     build_complex,
     certify,
     check_immersion,
-    disk_letters,
     genus_report,
     lambda_components,
     proper_power_certificate,
@@ -27,9 +26,25 @@ from polyw.constructors import (
 )
 from polyw.invariants import is_simple_height_one, lam, rho, tn_membership
 from polyw.search import SearchBounds, enumerate_all
-from polyw.words import CyclicWord, Relabeling, cyclic_word, is_proper_power
+from polyw.words import (
+    CyclicWord,
+    Relabeling,
+    cyclic_word,
+    inverse_letters,
+    is_proper_power,
+    least_rotation,
+    transform,
+    word_key,
+)
 
-from oracles import assert_matches_reference, rank2_cyclic_words, reference_genus
+from oracles import (
+    ReferenceComplex,
+    assert_matches_reference,
+    random_cyclic_words,
+    rank2_cyclic_words,
+    reference_genus,
+    rotation_offset,
+)
 
 W = cyclic_word("a (a^2)^b")  # canonical aabaB
 FIG = cyclic_word("a^2 (a^-1)^b a a^b")
@@ -47,14 +62,6 @@ def fig_cert():
     from polyw.search import SearchBounds, enumerate_all
 
     return next(iter(enumerate_all(FIG, SearchBounds(max_disks=1, max_power=2))))
-
-
-def test_disk_boundary_letters():
-    assert disk_letters(W, 2) == W.letters * 2
-    assert disk_letters(W, -2) == tuple(-x for x in reversed(W.letters)) * 2
-    for build in (build_complex, certify):
-        with pytest.raises(ValueError, match="disk power must be nonzero"):
-            build(W, [1, 0], [])
 
 
 def test_three_punctured_sphere():
@@ -238,6 +245,25 @@ def test_transform_certificate_preserves_verdicts():
                 )
 
 
+def test_least_rotation_gives_the_offset_of_a_transformed_disk():
+    # transform_certificate reads the offset of a disk's image off Booth's
+    # least rotation; the reference tries every offset against the target
+    words = [w for n in range(1, 7) for w in rank2_cyclic_words(n)]
+    words += random_cyclic_words(3, 8, 60, 32)
+    for w in words:
+        for rel in TRANSFORMS:
+            if rel.perm is not None:  # fix the generators past the permuted ones
+                rel = Relabeling(rel.perm + tuple(range(len(rel.perm) + 1, w.rank + 1)),
+                                 rel.invert, rel.invert_word, rel.rotation)
+            new_word = transform(w, rel)
+            for k in (1, 2, 3):
+                mapped = tuple(map(rel.apply_letter, w.letters * k))
+                if rel.invert_word:
+                    mapped = inverse_letters(mapped)
+                assert least_rotation(word_key(mapped)) == rotation_offset(
+                    mapped, new_word.letters * k), (w, rel, k)
+
+
 def test_genus_report_requires_closed_connected():
     S = build_complex(W, [2], PARTIAL)
     with pytest.raises(ValueError):
@@ -281,7 +307,7 @@ def random_pairing(rng, w, powers, labels, keep):
     probability ``keep``."""
     by_label = {}
     for i, k in enumerate(powers):
-        for j, x in enumerate(disk_letters(w, k)):
+        for j, x in enumerate(w.letters * k):
             if abs(x) in labels:
                 by_label.setdefault(abs(x), []).append((i, j))
     pairs = []
@@ -311,13 +337,39 @@ def test_complex_matches_reference_on_random_pairings():
     for _ in range(400):
         rank = rng.choice((2, 3))
         w = CyclicWord(rank, random_letters(rng, rank, rng.randint(1, 6)))
-        powers = [rng.choice((1, 2, 3, -1, -2)) for _ in range(rng.randint(1, 3))]
+        powers = [rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 3))]
         pairs = random_pairing(rng, w, powers, range(1, rank + 1), rng.choice((1.0, 0.6)))
         S = build_complex(w, powers, pairs)
         assert_matches_reference(S)
-        seen.add((S.closed, check_immersion(S)[0], len(S.connected_components()) > 1,
-                  any(k < 0 for k in powers)))
-    # closed or not, immersed or not, split or not, with or without negative powers
+        seen.add((S.closed, check_immersion(S)[0], len(S.connected_components()) > 1))
+    # closed or not, immersed or not, split or not
+    assert all({key[k] for key in seen} == {False, True} for k in range(3))
+
+
+def test_a_negative_power_is_the_positive_disk_walked_backwards():
+    # The reference reads a disk of power -k as the inverse word k times.
+    # Numbering its slots backwards, j -> k|w| - 1 - j, makes it the disk
+    # of power k, with the same 1-cells and arrows, so a disk system with
+    # negative powers carries the verdict of its reflected positive system.
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(300):
+        rank = rng.choice((2, 3))
+        w = CyclicWord(rank, random_letters(rng, rank, rng.randint(1, 6)))
+        signed = [rng.choice((1, 2, 3, -1, -2, -3)) for _ in range(rng.randint(1, 3))]
+        powers = [abs(k) for k in signed]
+        pairs = random_pairing(rng, w, powers, range(1, rank + 1), rng.choice((1.0, 0.6)))
+
+        def reflect(slot):
+            i, j = slot
+            return slot if signed[i] > 0 else (i, len(w) * powers[i] - 1 - j)
+
+        cert = certify(w, powers, pairs)
+        ref = ReferenceComplex(w, signed, [(reflect(a), reflect(b)) for a, b in pairs])
+        assert ref.verdict() == (cert.polygonal, cert.chi, cert.m, cert.vertices, cert.closed,
+                                 cert.immersion_ok, cert.components), (w, signed, pairs)
+        seen.add((cert.polygonal, cert.closed, cert.immersion_ok, any(k < 0 for k in signed)))
+    # polygonal or not, closed or not, immersed or not, with or without negative powers
     assert all({key[k] for key in seen} == {False, True} for k in range(4))
 
 
@@ -330,7 +382,7 @@ def test_boundary_invariant_matches_reference_on_random_b_pairings():
         parts = [(rng.choice((1, 2, 3)), rng.choice((1, 2))) for _ in range(rng.randint(1, 2))]
         sign = rng.choice((1, -1))
         w = cyclic_word(" ".join("a^%d (a^%d)^b" % (sign * p, q) for p, q in parts))
-        powers = [rng.choice((1, 2, -1, 2, 4)) for _ in range(rng.randint(1, 3))]
+        powers = [rng.choice((1, 2, 4)) for _ in range(rng.randint(1, 3))]
         S = build_complex(w, powers, random_pairing(rng, w, powers, (2,), 1.0))
         valid += not isinstance(assert_matches_reference(S), str)
     assert valid >= 20
@@ -341,7 +393,7 @@ def test_certificate_loader_bounds_the_slot_count():
             "verdict": {"chi": None, "m": None, "vertices": None, "immersion": None,
                         "closed": None, "polygonal": False}}
     assert PolygonalityCertificate.from_json_dict(data).powers == (250000,)
-    data["disks"].append({"power": -1})
+    data["disks"].append({"power": 1})
     with pytest.raises(ValueError, match="more than 1000000 slots"):
         PolygonalityCertificate.from_json_dict(data)
 

@@ -166,8 +166,11 @@ def test_reversing_gluing_seams_only_opposite_circles_of_one_length():
     assert _reversing_gluing(unequal, 0, 1) is None
     # every arrow runs along its walk on both circles: no offset reverses them
     assert _reversing_gluing(build_complex(w, [1, 1], []), 0, 1) is None
-    inverse = build_complex(w, [1, -1], [])
-    assert _reversing_gluing(inverse, 0, 1) == [((0, 0), (1, 1)), ((0, 1), (1, 0))]
+    # on the rotation surface of an isolated-b word each circle runs along
+    # one disk and back along the other, so one offset reverses them
+    rotation = two_disk_rotation(cyclic_word("a^2 b a^2 b^-1"))
+    assert _reversing_gluing(rotation, 0, 1) == [((0, 1), (1, 0)), ((0, 2), (0, 5)),
+                                                 ((1, 3), (0, 4)), ((1, 2), (1, 5))]
 
 
 def test_isolated_b_examples():

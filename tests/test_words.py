@@ -23,7 +23,6 @@ from polyw.words import (
     letter_key,
     parse_word,
     primitive_root,
-    rotation_offset,
     syllable_decomposition,
     syllable_starts,
     transform,
@@ -221,14 +220,6 @@ def test_transform_swap_generators():
 def test_transform_rotation_is_noop_on_cyclic_words():
     w = cyclic_word("a^2 b^3")
     assert transform(w, Relabeling(rotation=2)) == w
-
-
-def test_rotation_offset():
-    layout = (1, -2, 1, 1, 2)
-    canon = cyclic_word("a (a^2)^b").letters
-    o = rotation_offset(layout, canon)
-    assert o is not None
-    assert tuple(layout[(u + o) % 5] for u in range(5)) == canon
 
 
 letters_st = st.integers(min_value=-2, max_value=2).filter(lambda x: x != 0)

@@ -32,7 +32,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("check", "rho", "minimize", "diskbusting", "cover", "stats", "render")
 TMP = "<tmp>"
-# the torus, then its certificate with a T_n or U part that does not load
+# the torus, then its certificate with a T_n or U part that does not load,
+# then the torus at power -1, which no disk reads
 TORUS = {"word": "abAB", "rank": 2, "disks": [{"power": 1}],
          "pairing": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]],
          "verdict": {"chi": 0, "m": 1, "vertices": 1, "immersion": True, "closed": True,
@@ -92,6 +93,8 @@ FIXED = [
     ("render", TMP + "/torus.json", "--out", TMP + "/torus.dot"),
     ("cover", TMP + "/torus.dot"),
     *(("cover", TMP + "/bad-%d.json" % k) for k in range(len(BAD_PARTS))),
+    *((name, TMP + "/torus-negative.json") + extra
+      for name, extra in (("cover", ()), ("render", ()), ("render", ("--cover",)))),
 ]
 
 
@@ -124,6 +127,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         for k, (key, part) in enumerate(BAD_PARTS):
             Path(tmp, "bad-%d.json" % k).write_text(json.dumps(dict(TORUS, **{key: part})))
+        Path(tmp, "torus-negative.json").write_text(json.dumps(dict(TORUS, disks=[{"power": -1}])))
         for line in argvs + FIXED:
             real = [a.replace(TMP, tmp) for a in line]
             record = json.dumps([list(line), *run(cli, real)]).replace(tmp, TMP)
